@@ -164,8 +164,9 @@ func main() {
 		sc.Overload = cfg
 	}
 
+	var pr overlay.Probes
 	if capture != nil {
-		sc.Capture = capture
+		pr.Capture = capture
 	}
 	if *metOut != "" {
 		sc.Obs = obs.New()
@@ -175,7 +176,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	res := overlay.Run(sc)
+	res := overlay.RunProbed(sc, pr)
 	stopProf()
 	fmt.Printf("scenario   %s\n", res.Scenario.Name())
 	fmt.Printf("throughput %.2f Gbps (%.0f msg/s, %d segments)\n", res.Gbps, res.MsgPerSec, res.DeliveredSegments)

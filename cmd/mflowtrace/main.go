@@ -64,16 +64,16 @@ func main() {
 
 	sc := overlay.Scenario{
 		System: sys, Proto: p, MsgSize: *size,
-		Tracer: tr,
 		MFlow:  overlay.MFlowConfig{BatchSize: *batch},
 		Warmup: 1 * sim.Millisecond, Measure: 1 * sim.Millisecond,
 	}
+	pr := overlay.Probes{Tracer: tr}
 	var clog *obs.CoreLog
 	if *export != "" {
 		clog = &obs.CoreLog{}
-		sc.CoreLog = clog
+		pr.CoreLog = clog
 	}
-	overlay.Run(sc)
+	overlay.RunProbed(sc, pr)
 
 	fmt.Printf("traced %d events across stages %v\n\n", len(tr.Events()), tr.Stages())
 	for s := 0; s < *segs; s++ {

@@ -96,18 +96,8 @@ func (r *CachingResult) String() string {
 		r.Config.System, r.Config.Clients, r.RequestsPerSec, r.Avg, r.P99)
 }
 
-// RunDataCachingDebug runs the benchmark and exposes the host cores for
-// utilization inspection (development aid).
-func RunDataCachingDebug(cfg CachingConfig, cores *[]*sim.Core) *CachingResult {
-	return runDataCaching(cfg, cores)
-}
-
 // RunDataCaching executes the data-caching benchmark.
 func RunDataCaching(cfg CachingConfig) *CachingResult {
-	return runDataCaching(cfg, nil)
-}
-
-func runDataCaching(cfg CachingConfig, coresOut *[]*sim.Core) *CachingResult {
 	cfg = cfg.withDefaults()
 	flows := cfg.Clients * cfg.ConnsPerClient
 	st := overlay.NewStack(overlay.Scenario{
@@ -123,9 +113,6 @@ func runDataCaching(cfg CachingConfig, coresOut *[]*sim.Core) *CachingResult {
 	})
 	sched := st.Sched()
 	cfgCosts := st.Scenario().Costs
-	if coresOut != nil {
-		*coresOut = st.Cores()
-	}
 
 	lat := metrics.NewHistogram()
 	measStart := sim.Time(cfg.Warmup)

@@ -157,7 +157,7 @@ func (r *Runner) Artifact(fig string, tables []*Table) *Artifact {
 		WarmupMs:  float64(r.Warmup) / float64(sim.Millisecond),
 		MeasureMs: float64(r.Measure) / float64(sim.Millisecond),
 		Provenance: fmt.Sprintf(
-			"mflowbench deterministic DES harness (fast-path engine, typed event heap); fig=%s seed=%d warmup=%gms measure=%gms, overload control and fault injection disabled unless a run's key says otherwise",
+			"mflowbench deterministic DES harness (run-coalesced event heap with inline delivery slot; keys are sys=...|proto=... scenario encodings); fig=%s seed=%d warmup=%gms measure=%gms, overload control and fault injection disabled unless a run's key says otherwise",
 			fig, r.Seed,
 			float64(r.Warmup)/float64(sim.Millisecond),
 			float64(r.Measure)/float64(sim.Millisecond)),

@@ -102,9 +102,6 @@ type NIC struct {
 // budgeted polling mode).
 func (n *NIC) MaskIRQs(masked bool) { n.irqMasked = masked }
 
-// IRQsMasked reports whether interrupts are currently masked.
-func (n *NIC) IRQsMasked() bool { return n.irqMasked }
-
 // PinFlow steers a flow to a fixed queue, overriding the RSS hash — the
 // simulator's equivalent of an ethtool n-tuple steering rule, used by the
 // experiment topologies for deterministic placement.

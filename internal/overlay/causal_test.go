@@ -10,9 +10,11 @@ import (
 	"mflow/internal/causal"
 	"mflow/internal/fault"
 	"mflow/internal/harness"
+	"mflow/internal/obs"
 	"mflow/internal/sim"
 	"mflow/internal/skb"
 	"mflow/internal/steering"
+	"mflow/internal/trace"
 )
 
 // causalScenario is one conservation-matrix cell: short windows — the
@@ -97,25 +99,69 @@ func TestCausalConservationMatrix(t *testing.T) {
 // TestProbedRunMatchesUnprobed pins the probes' purity: attaching the
 // profiler and flight recorder changes nothing about the measured result —
 // byte-identical fingerprints, covering every counter, latency quantile,
-// CPU sample and drop count.
+// CPU sample and drop count. It then attaches every probe at once (the obs
+// registry, journey tracer, core log, profiler, flight recorder and, on the
+// wire-mode case, a pcap capture) and requires the fingerprint of an
+// obs-only run: the registry's snapshot is part of the fingerprint, so the
+// other probes must leave it untouched as well.
 func TestProbedRunMatchesUnprobed(t *testing.T) {
+	wire := causalScenario(steering.MFlow, skb.TCP, fault.ChaosProfiles()["random"])
+	wire.WireMode = true
 	scenarios := []Scenario{
 		causalScenario(steering.MFlow, skb.TCP, nil),
 		causalScenario(steering.MFlow, skb.UDP, nil),
 		causalScenario(steering.RPS, skb.TCP, nil),
 		causalScenario(steering.MFlow, skb.TCP, fault.ChaosProfiles()["random"]),
+		wire,
 	}
 	for _, sc := range scenarios {
+		name := sc.Name()
+		if sc.WireMode {
+			name += "/wire"
+		}
 		plain := Run(sc).Fingerprint()
 		probed := RunProbed(sc, Probes{
 			Causal: causal.NewProfiler(),
 			Flight: causal.NewFlightRecorder(),
 		}).Fingerprint()
 		if plain != probed {
-			t.Errorf("%s/%s: probed run diverged from unprobed:\n--- unprobed ---\n%s\n--- probed ---\n%s",
-				sc.System, sc.Proto, plain, probed)
+			t.Errorf("%s: probed run diverged from unprobed:\n--- unprobed ---\n%s\n--- probed ---\n%s",
+				name, plain, probed)
+		}
+
+		observed := sc
+		observed.Obs = obs.New()
+		obsFP := Run(observed).Fingerprint()
+		var captured countingWriter
+		all := Probes{
+			Tracer:  &trace.Tracer{MaxEvents: 1 << 12},
+			CoreLog: &obs.CoreLog{MaxIntervals: 1 << 12},
+			Causal:  causal.NewProfiler(),
+			Flight:  causal.NewFlightRecorder(),
+			Capture: &captured,
+		}
+		observed.Obs = obs.New()
+		if got := RunProbed(observed, all).Fingerprint(); got != obsFP {
+			t.Errorf("%s: fully probed run diverged from obs-only:\n--- obs only ---\n%s\n--- all probes ---\n%s",
+				name, obsFP, got)
+		}
+		// Guard against a vacuous pass: every probe saw the run.
+		if len(all.Tracer.Events()) == 0 || len(all.CoreLog.Intervals) == 0 || all.Causal.DeliveredPkts == 0 {
+			t.Errorf("%s: a probe observed nothing (tracer %d events, core log %d intervals, profiler %d packets)",
+				name, len(all.Tracer.Events()), len(all.CoreLog.Intervals), all.Causal.DeliveredPkts)
+		}
+		if sc.WireMode && captured == 0 {
+			t.Errorf("%s: the pcap capture received no bytes", name)
 		}
 	}
+}
+
+// countingWriter discards what it is given and counts the bytes.
+type countingWriter int
+
+func (w *countingWriter) Write(b []byte) (int, error) {
+	*w += countingWriter(len(b))
+	return len(b), nil
 }
 
 // TestCausalMFlowReorderWaitVsRPS is the Fig. 7 causal claim: MFLOW packets

@@ -161,22 +161,21 @@ func TestObsDoesNotChangeResults(t *testing.T) {
 func TestObsWithTracerAndCoreLog(t *testing.T) {
 	sc, _ := obsScenario()
 	sc.Proto = skb.UDP
-	sc.Tracer = trace.New()
-	sc.Tracer.OnlyFlow = 1
-	sc.Tracer.OnlySeqBelow = 64
-	sc.CoreLog = &obs.CoreLog{}
-	res := Run(sc)
+	pr := Probes{Tracer: trace.New(), CoreLog: &obs.CoreLog{}}
+	pr.Tracer.OnlyFlow = 1
+	pr.Tracer.OnlySeqBelow = 64
+	res := RunProbed(sc, pr)
 	if res.DeliveredSegments == 0 {
 		t.Fatal("UDP scenario delivered nothing")
 	}
-	if len(sc.Tracer.Events()) == 0 {
+	if len(pr.Tracer.Events()) == 0 {
 		t.Error("tracer recorded nothing")
 	}
-	if len(sc.CoreLog.Intervals) == 0 {
+	if len(pr.CoreLog.Intervals) == 0 {
 		t.Error("core log recorded nothing")
 	}
-	evs := obs.ChromeTraceEvents(sc.Tracer.Events(), sc.CoreLog)
-	if len(evs) <= len(sc.Tracer.Events()) {
-		t.Errorf("chrome events %d should exceed tracer events %d", len(evs), len(sc.Tracer.Events()))
+	evs := obs.ChromeTraceEvents(pr.Tracer.Events(), pr.CoreLog)
+	if len(evs) <= len(pr.Tracer.Events()) {
+		t.Errorf("chrome events %d should exceed tracer events %d", len(evs), len(pr.Tracer.Events()))
 	}
 }

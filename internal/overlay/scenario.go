@@ -3,6 +3,8 @@ package overlay
 import (
 	"fmt"
 	"io"
+	"reflect"
+	"strconv"
 	"strings"
 
 	"mflow/internal/causal"
@@ -125,20 +127,14 @@ type Scenario struct {
 	// regime the application-level benchmarks run in. Ignored for the
 	// native system, whose flows carry full RSS entropy.
 	SharedQueue bool
-	// Tracer, when set, records per-packet journeys through the pipeline
-	// (subject to the tracer's own filters and cap).
-	Tracer *trace.Tracer
 	// Obs, when set, attaches the unified observability layer: per-stage
 	// latency and inter-stage gap histograms for every packet, periodic
 	// queue-depth sampling of the NIC rings / backlogs / socket queues,
 	// and NIC/device counters. Nil disables it with zero hot-path cost.
+	// It is the one observation attachment that rides inside the
+	// scenario (Result.Obs reports it); Key never writes it. Every other
+	// attachment lives in Probes.
 	Obs *obs.Registry
-	// CoreLog, when set, records every per-core execution interval for
-	// Perfetto/Chrome trace export (obs.ExportChromeTrace).
-	CoreLog *obs.CoreLog
-	// Capture, when set together with WireMode, streams every frame
-	// arriving at the NIC into a pcap capture written to this writer.
-	Capture io.Writer
 	// CopyThreads parallelizes the user-space delivery copy across this
 	// many application cores (the paper's stated future work for the
 	// residual core-0 bottleneck). Default 1 — the paper's system.
@@ -229,60 +225,89 @@ func (sc Scenario) withDefaults() Scenario {
 	return sc
 }
 
-// Key renders a stable identity for the scenario's measured
-// configuration: every field that can change a run's outcome, by value
-// (Costs and Faults dereferenced, so two scenarios built from separate
-// but equal cost tables share a key across processes), with the pure
-// observability attachments — Obs, Tracer, CoreLog, Capture — excluded:
-// attaching a fresh registry must not change a scenario's identity.
-// Two scenarios with equal keys produce identical Results; the bench
-// cache and the BENCH_*.json baseline comparison both key on it.
+// Key renders the scenario's stable identity as "|"-separated name=value
+// pairs (sys=mflow|proto=TCP|msg=65536|...), the format webKey and
+// cachingKey use for application runs. It writes every configuration field
+// that can change a run's outcome, and only non-zero ones, so a field added
+// with a zero default leaves every existing key unchanged. Nested configs
+// (MFlow, Costs, Faults, Overload, Fabric) recurse through keyFields; a nil
+// pointer and a pointer to a zero config both write nothing, except Costs,
+// whose nil means DefaultCosts and so differs from any table given
+// explicitly. Obs is observation, not configuration, and never appears.
+// Two scenarios with equal keys produce identical Results; the bench cache
+// and the BENCH_*.json baseline comparison both key on it.
 func (sc Scenario) Key() string {
-	costs := ""
-	if sc.Costs != nil {
-		costs = fmt.Sprintf("%+v", *sc.Costs)
-	}
-	faults := ""
-	if sc.Faults != nil {
-		f := *sc.Faults
-		if f.Wire.Burst != nil {
-			burst := *f.Wire.Burst
-			f.Wire.Burst = nil
-			faults = fmt.Sprintf("%+v burst=%+v", f, burst)
-		} else {
-			faults = fmt.Sprintf("%+v", f)
+	var b strings.Builder
+	b.WriteString("sys=" + sc.System.String() + "|proto=" + sc.Proto.String())
+	put := func(name string, v any) {
+		if s, ok := keyValue(reflect.ValueOf(v)); ok {
+			b.WriteString("|" + name + s)
 		}
 	}
-	ov := ""
-	if sc.Overload.Enabled() {
-		ov = fmt.Sprintf("%+v", *sc.Overload)
+	put("msg", sc.MsgSize)
+	put("flows", sc.Flows)
+	put("clients", sc.UDPClients)
+	put("window", sc.Window)
+	put("kcores", sc.KernelCores)
+	put("acores", sc.AppCores)
+	put("mflow", sc.MFlow)
+	if sc.Costs != nil {
+		b.WriteString("|costs={" + keyFields(reflect.ValueOf(*sc.Costs)) + "}")
 	}
-	fab := ""
-	if sc.Fabric.Enabled() {
-		fab = fmt.Sprintf("%+v", *sc.Fabric)
+	put("shared", sc.SharedQueue)
+	put("copy", sc.CopyThreads)
+	put("wire", sc.WireMode)
+	put("modeltx", sc.ModelTX)
+	put("notraffic", sc.NoTraffic)
+	put("faults", sc.Faults)
+	put("overload", sc.Overload)
+	put("fabric", sc.Fabric)
+	put("seed", sc.Seed)
+	put("warmup", sc.Warmup)
+	put("measure", sc.Measure)
+	return b.String()
+}
+
+// keyFields renders a config struct's non-zero fields as ","-separated
+// pairs named by the lower-cased Go field name.
+func keyFields(v reflect.Value) string {
+	var parts []string
+	for i := 0; i < v.NumField(); i++ {
+		if s, ok := keyValue(v.Field(i)); ok {
+			parts = append(parts, strings.ToLower(v.Type().Field(i).Name)+s)
+		}
 	}
-	sc.Costs = nil
-	sc.Faults = nil
-	sc.Obs = nil
-	sc.Tracer = nil
-	sc.CoreLog = nil
-	sc.Capture = nil
-	sc.Overload = nil
-	sc.Fabric = nil
-	key := fmt.Sprintf("%+v|costs={%s}|faults={%s}", sc, costs, faults)
-	// Strip the nil Overload and Fabric fields from the rendering so every
-	// key minted before those subsystems existed stays byte-identical;
-	// enabled configs append their own block (by value, like costs and
-	// faults).
-	key = strings.Replace(key, " Overload:<nil>", "", 1)
-	key = strings.Replace(key, " Fabric:<nil>", "", 1)
-	if ov != "" {
-		key += fmt.Sprintf("|overload={%s}", ov)
+	return strings.Join(parts, ",")
+}
+
+// keyValue renders one config value as the suffix of its key pair: "=v"
+// for scalars (durations as integer nanoseconds, floats in their shortest
+// exact form), nothing for a true flag, "={...}" for a nested config. ok is
+// false for a zero value, a nil pointer and a config with no non-zero
+// field. Kinds a config should not hold panic, so a field the encoder
+// cannot render fails the key tests instead of vanishing from the key.
+func keyValue(v reflect.Value) (s string, ok bool) {
+	switch v.Kind() {
+	case reflect.Bool:
+		return "", v.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return "=" + strconv.FormatInt(v.Int(), 10), v.Int() != 0
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return "=" + strconv.FormatUint(v.Uint(), 10), v.Uint() != 0
+	case reflect.Float32, reflect.Float64:
+		return "=" + strconv.FormatFloat(v.Float(), 'g', -1, 64), v.Float() != 0
+	case reflect.String:
+		return "=" + v.String(), v.String() != ""
+	case reflect.Pointer:
+		if v.IsNil() {
+			return "", false
+		}
+		return keyValue(v.Elem())
+	case reflect.Struct:
+		f := keyFields(v)
+		return "={" + f + "}", f != ""
 	}
-	if fab != "" {
-		key += fmt.Sprintf("|fabric={%s}", fab)
-	}
-	return key
+	panic("overlay: scenario key cannot encode a " + v.Type().String())
 }
 
 // Name renders a compact scenario identifier.
@@ -299,11 +324,20 @@ func sizeLabel(n int) string {
 	}
 }
 
-// Probes carries a run's optional causal-attribution instrumentation
-// (RunProbed). It is deliberately not part of Scenario: a scenario's
-// identity (Key) and measured results must not depend on whether anyone was
-// watching, so probes ride alongside the scenario rather than inside it.
+// Probes carries a run's optional observation attachments (RunProbed). They
+// are deliberately not part of Scenario: a scenario's identity (Key) and
+// measured results must not depend on whether anyone was watching, so
+// probes ride alongside the scenario rather than inside it.
 type Probes struct {
+	// Tracer, when set, records per-packet journeys through the pipeline
+	// (subject to the tracer's own filters and cap).
+	Tracer *trace.Tracer
+	// CoreLog, when set, records every per-core execution interval for
+	// Perfetto/Chrome trace export (obs.ExportChromeTrace).
+	CoreLog *obs.CoreLog
+	// Capture, when set on a WireMode scenario, streams every frame
+	// arriving at the NIC into a pcap capture written to this writer.
+	Capture io.Writer
 	// Causal, when set, receives every packet's critical-path attribution:
 	// per-(kind, stage) latency breakdowns, tail exemplars, conservation
 	// checking.

@@ -98,6 +98,3 @@ func (st *Stack) Send(f, size int) uint64 {
 
 // DeliveredBytes reports flow f's cumulative bytes delivered to user space.
 func (st *Stack) DeliveredBytes(f int) uint64 { return st.h.flows[f].sock.Bytes }
-
-// Cores exposes the host's app+kernel cores for utilization reporting.
-func (st *Stack) Cores() []*sim.Core { return st.h.cores }

@@ -33,18 +33,8 @@ type stage struct {
 	// handoff is charged on this stage's core per emitted skb.
 	handoff sim.Duration
 
-	// tracer records each emitted skb (nil = disabled).
-	tracer *trace.Tracer
-
-	// Observability instrumentation, attached when the scenario carries a
-	// registry: latency accumulates stage_latency{stage} (time since NIC
-	// arrival, weighted per wire segment) for every emitted skb; gap
-	// records stage_gap{from,to} (queueing delay since the previous
-	// stage's emission) at poll time. obsOn gates the skb bookkeeping so
-	// unobserved runs pay nothing.
-	latency *metrics.Histogram
-	gap     func(from string, v int64)
-	obsOn   bool
+	// probe observes the stage's skbs on an observed run (nil otherwise).
+	probe *stageProbe
 
 	out func(*skb.SKB, sim.Time)
 
@@ -64,14 +54,10 @@ type stage struct {
 	aqm        *overload.CoDel
 	aqmSojourn *metrics.Histogram
 
-	// prof, when a run is probed, switches processing to the instrumented
-	// twin of process(); nil costs one branch per poll round. ringFed
-	// marks the stage whose queue is the NIC descriptor ring (its first
-	// wait is ring-wait, not softirq queueing); onDrop observes admission
-	// rejections (flight-recorder trigger).
-	prof    *causal.Profiler
+	// ringFed marks the stage whose queue is the NIC descriptor ring: the
+	// overload manager samples its core, and a probed run classifies its
+	// first wait as ring-wait rather than softirq queueing.
 	ringFed bool
-	onDrop  func(*skb.SKB)
 }
 
 // stageOutH hands an emitted skb downstream at its completion instant.
@@ -115,9 +101,7 @@ func (st *stage) retire(s *skb.SKB) {
 // aqmFilter applies the CoDel control law to a drained batch: each skb's
 // queue sojourn (dequeue minus QueuedAt) is measured, skbs the law discards
 // retire before any device work is charged, and survivors' sojourns are
-// recorded (the histogram is the delivered path's queueing delay). Called
-// identically at the top of process and processProfiled so the probed twin
-// stays in sync.
+// recorded (the histogram is the delivered path's queueing delay).
 func (st *stage) aqmFilter(batch []*skb.SKB) []*skb.SKB {
 	now := st.sched.Now()
 	kept := batch[:0]
@@ -127,11 +111,8 @@ func (st *stage) aqmFilter(batch []*skb.SKB) []*skb.SKB {
 			sojourn = now.Sub(s.QueuedAt)
 		}
 		if st.aqm.Drop(sojourn, now) {
-			if p := st.prof; p != nil {
-				p.Drop(s, now, st.name)
-			}
-			if st.onDrop != nil {
-				st.onDrop(s)
+			if pr := st.probe; pr != nil {
+				pr.drop(s)
 			}
 			st.retire(s)
 			continue
@@ -142,26 +123,26 @@ func (st *stage) aqmFilter(batch []*skb.SKB) []*skb.SKB {
 	return kept
 }
 
+// process is the stage's poll round. Phase 1 charges the pre devices per
+// incoming skb, GRO coalesces the batch, phase 2 charges the post devices
+// and handoff per resulting skb, and the results leave as one scheduler
+// run. An observed run watches every execution and emission through
+// st.probe; an unobserved one pays a nil check per execution and per
+// emitted skb.
 func (st *stage) process(batch []*skb.SKB) {
-	if st.prof != nil {
-		st.processProfiled(batch)
-		return
-	}
 	if st.aqm != nil {
 		batch = st.aqmFilter(batch)
 	}
-	c := st.worker.Core
-	if st.obsOn {
-		now := st.sched.Now()
-		for _, s := range batch {
-			if s.LastStage != "" {
-				st.gap(s.LastStage, int64(now.Sub(s.LastStageAt)))
-			}
-		}
+	c, pr := st.worker.Core, st.probe
+	if pr != nil {
+		pr.poll(batch, st.sched.Now())
 	}
 	for _, s := range batch {
-		for _, d := range st.pre {
-			c.Exec(d.CostOf(s), d.Name)
+		for i, d := range st.pre {
+			start, end := c.Exec(d.CostOf(s), d.Name)
+			if pr != nil {
+				pr.pre(st, s, i, start, end)
+			}
 			d.Apply(s)
 		}
 		if st.each != nil {
@@ -173,122 +154,32 @@ func (st *stage) process(batch []*skb.SKB) {
 	}
 	// The emission loop chains the batch into one scheduler run: emission
 	// instants are monotone within a poll round (the core executes FIFO),
-	// so one ScheduleRun replaces a heap insert per skb. Mirrored in
-	// processProfiled.
+	// so one ScheduleRun replaces a heap insert per skb.
 	var head, tail *skb.SKB
 	var headAt sim.Time
 	runN := 0
 	for _, s := range batch {
 		end := st.sched.Now()
-		for _, d := range st.post {
-			_, end = c.Exec(d.CostOf(s), d.Name)
-			d.Apply(s)
-		}
-		if st.handoff > 0 {
-			_, end = c.Exec(st.handoff, "handoff")
-		}
-		if len(st.post) == 0 && st.handoff == 0 {
-			end = c.FreeAt()
-		}
-		st.tracer.Record(end, s.PktID, s.FlowID, s.Seq, s.Segs, st.name, c.ID)
-		st.latency.RecordN(int64(end.Sub(s.ArrivedAt)), uint64(s.Segs))
-		if st.obsOn {
-			s.LastStage, s.LastStageAt = st.name, end
-		}
-		if tail == nil {
-			head, headAt = s, end
-		} else {
-			tail.SetNextRun(s, end)
-		}
-		tail = s
-		runN++
-	}
-	if runN > 0 {
-		st.sched.ScheduleRun(st.outH, head, headAt, runN)
-	}
-}
-
-// processProfiled is process() with critical-path marks at every wait/exec
-// boundary. It is a separate body (rather than inline branches) so the
-// disabled path pays exactly one nil check per poll round; any behavioural
-// edit here must mirror process() — the probed-vs-unprobed fingerprint test
-// pins the two in sync.
-func (st *stage) processProfiled(batch []*skb.SKB) {
-	if st.aqm != nil {
-		batch = st.aqmFilter(batch)
-	}
-	c := st.worker.Core
-	p := st.prof
-	wd := st.worker.WakeDelay
-	groStage := st.gro != nil
-	if st.obsOn {
-		now := st.sched.Now()
-		for _, s := range batch {
-			if s.LastStage != "" {
-				st.gap(s.LastStage, int64(now.Sub(s.LastStageAt)))
-			}
-		}
-	}
-	for _, s := range batch {
-		first := true
-		for _, d := range st.pre {
-			start, end := c.Exec(d.CostOf(s), d.Name)
-			if first {
-				first = false
-				p.MarkWait(s, st.name, start, st.ringFed, groStage, wd)
-			}
-			p.Mark(s, causal.SegService, st.name, end)
-			d.Apply(s)
-		}
-		if st.each != nil {
-			st.each(s, c)
-		}
-		if !first {
-			// Phase-1 work done; the skb now sits in the poll batch. On a
-			// GRO stage the gap until phase 2 is the coalescing hold.
-			p.NoteBatched(s)
-		}
-	}
-	if st.gro != nil {
-		batch = st.gro.Coalesce(batch)
-	}
-	// Emission-run chaining, kept in lockstep with process().
-	var head, tail *skb.SKB
-	var headAt sim.Time
-	runN := 0
-	for _, s := range batch {
-		end := st.sched.Now()
-		first := true
-		for _, d := range st.post {
+		for i, d := range st.post {
 			var start sim.Time
 			start, end = c.Exec(d.CostOf(s), d.Name)
-			if first {
-				first = false
-				p.MarkWait(s, st.name, start, st.ringFed, groStage, wd)
+			if pr != nil {
+				pr.post(st, s, causal.SegService, i == 0, start, end)
 			}
-			p.Mark(s, causal.SegService, st.name, end)
 			d.Apply(s)
 		}
 		if st.handoff > 0 {
 			var start sim.Time
 			start, end = c.Exec(st.handoff, "handoff")
-			if first {
-				first = false
-				p.MarkWait(s, st.name, start, st.ringFed, groStage, wd)
+			if pr != nil {
+				pr.post(st, s, causal.SegHandoff, len(st.post) == 0, start, end)
 			}
-			p.Mark(s, causal.SegHandoff, st.name, end)
 		}
 		if len(st.post) == 0 && st.handoff == 0 {
 			end = c.FreeAt()
-			// No execution of its own in phase 2: everything up to the
-			// emission instant is wait (queue/gro-hold/ring classified by
-			// the same policy as a first exec would be).
-			p.MarkWait(s, st.name, end, st.ringFed, groStage, wd)
 		}
-		st.tracer.Record(end, s.PktID, s.FlowID, s.Seq, s.Segs, st.name, c.ID)
-		st.latency.RecordN(int64(end.Sub(s.ArrivedAt)), uint64(s.Segs))
-		if st.obsOn {
-			s.LastStage, s.LastStageAt = st.name, end
+		if pr != nil {
+			pr.emit(st, s, end)
 		}
 		if tail == nil {
 			head, headAt = s, end
@@ -308,18 +199,113 @@ func (st *stage) processProfiled(batch []*skb.SKB) {
 // retransmission below the socket layer — so they return to the pool here.
 func (st *stage) feed() func(*skb.SKB, sim.Time) {
 	return func(s *skb.SKB, _ sim.Time) {
-		if p := st.prof; p != nil && st.worker.Idle() {
-			p.NoteIdleWake(s)
+		pr := st.probe
+		if pr != nil && st.worker.Idle() {
+			pr.prof.NoteIdleWake(s)
 		}
 		s.QueuedAt = st.sched.Now()
 		if !st.worker.Enqueue(s) {
-			if p := st.prof; p != nil {
-				p.Drop(s, st.sched.Now(), st.name)
-			}
-			if st.onDrop != nil {
-				st.onDrop(s)
+			if pr != nil {
+				pr.drop(s)
 			}
 			st.retire(s)
 		}
 	}
+}
+
+// stageProbe observes one point of the receive path — a softirq stage, the
+// socket, or a drop point — for whatever a run attaches: the journey
+// tracer, the stage_latency and stage_gap histograms, the causal profiler
+// and the flight recorder. It only reads the simulation. Points of an
+// unobserved run have no probe at all, so each method may assume an
+// observed run and relies on the nil-safe tracer, histogram, profiler and
+// recorder for the attachments that run lacks.
+type stageProbe struct {
+	name  string
+	sched *sim.Scheduler
+
+	tracer *trace.Tracer
+	// latency accumulates stage_latency{stage}: time since NIC arrival,
+	// weighted per wire segment. gap records stage_gap{from,to}, the
+	// queueing delay since the previous stage's emission. Both are nil
+	// without a registry, and skbs then carry no LastStage stamp.
+	latency *metrics.Histogram
+	gap     func(from string, v int64)
+
+	prof   *causal.Profiler
+	flight *causal.FlightRecorder
+	// trigger names the flight-recorder snapshot a drop here takes.
+	trigger string
+}
+
+// poll records each polled skb's stage_gap from the stage that last
+// emitted it.
+func (p *stageProbe) poll(batch []*skb.SKB, now sim.Time) {
+	if p.gap == nil {
+		return
+	}
+	for _, s := range batch {
+		p.gapFrom(s, now)
+	}
+}
+
+func (p *stageProbe) gapFrom(s *skb.SKB, at sim.Time) {
+	if p.gap != nil && s.LastStage != "" {
+		p.gap(s.LastStage, int64(at.Sub(s.LastStageAt)))
+	}
+}
+
+// wait closes the gap s spent before st's first execution on its behalf.
+func (p *stageProbe) wait(st *stage, s *skb.SKB, until sim.Time) {
+	p.prof.MarkWait(s, p.name, until, st.ringFed, st.gro != nil, st.worker.WakeDelay)
+}
+
+// pre marks phase-1 execution i of st on s's critical path. The first one
+// closes the wait before it and flags s as batched: after phase 1 it sits
+// in the poll batch, which on a GRO stage is the coalescing hold.
+func (p *stageProbe) pre(st *stage, s *skb.SKB, i int, start, end sim.Time) {
+	if i == 0 {
+		p.wait(st, s, start)
+		p.prof.NoteBatched(s)
+	}
+	p.prof.Mark(s, causal.SegService, p.name, end)
+}
+
+// post marks a phase-2 execution of st (a post device or the handoff) on
+// s's critical path; the first one closes the wait before it.
+func (p *stageProbe) post(st *stage, s *skb.SKB, kind causal.SegKind, first bool, start, end sim.Time) {
+	if first {
+		p.wait(st, s, start)
+	}
+	p.prof.Mark(s, kind, p.name, end)
+}
+
+// emit observes s leaving st at end. A stage with no phase-2 execution of
+// its own counts everything up to the emission as wait.
+func (p *stageProbe) emit(st *stage, s *skb.SKB, end sim.Time) {
+	if len(st.post) == 0 && st.handoff == 0 {
+		p.wait(st, s, end)
+	}
+	p.tracer.Record(end, s.PktID, s.FlowID, s.Seq, s.Segs, p.name, st.core().ID)
+	p.latency.RecordN(int64(end.Sub(s.ArrivedAt)), uint64(s.Segs))
+	if p.gap != nil {
+		s.LastStage, s.LastStageAt = p.name, end
+	}
+}
+
+// deliver observes s reaching user space at at on core: the socket is the
+// pipeline's final stage, so it closes the journey and the causal record.
+func (p *stageProbe) deliver(s *skb.SKB, at sim.Time, core int) {
+	p.gapFrom(s, at)
+	p.tracer.Record(at, s.PktID, s.FlowID, s.Seq, s.Segs, p.name, core)
+	p.latency.RecordN(int64(at.Sub(s.ArrivedAt)), uint64(s.Segs))
+	p.prof.Complete(s, at)
+}
+
+// drop observes an skb discarded here: the profiler closes its record and
+// the flight recorder snapshots the cores.
+func (p *stageProbe) drop(s *skb.SKB) {
+	now := p.sched.Now()
+	p.prof.Drop(s, now, p.name)
+	p.flight.Trigger(p.trigger, s.PktID, s.FlowID, now)
 }

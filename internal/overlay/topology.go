@@ -10,12 +10,14 @@ import (
 	"mflow/internal/gro"
 	"mflow/internal/netdev"
 	"mflow/internal/nic"
+	"mflow/internal/obs"
 	"mflow/internal/packet"
 	"mflow/internal/pcap"
 	"mflow/internal/proto"
 	"mflow/internal/sim"
 	"mflow/internal/skb"
 	"mflow/internal/steering"
+	"mflow/internal/trace"
 	"mflow/internal/traffic"
 	"mflow/internal/txpath"
 )
@@ -50,9 +52,10 @@ type host struct {
 	// pool recycles the run's SKBs (nil when pooling is disabled). One
 	// pool per host per run — never shared across Schedulers.
 	pool *skb.Pool
-	// prof / flight are the run's probes (both nil for unprobed runs; see
-	// Probes). They observe the pipeline through plain func hooks and never
-	// alter its behaviour.
+	// tracer / prof / flight are the run's probes (all nil for unprobed
+	// runs; see Probes). They observe the pipeline through stage probes and
+	// plain func hooks and never alter its behaviour.
+	tracer *trace.Tracer
 	prof   *causal.Profiler
 	flight *causal.FlightRecorder
 	// ackFree recycles ackRelay events; nicH is the closure-free wire
@@ -140,6 +143,8 @@ type flowPath struct {
 	detect *mflow.Detector
 	vx     *netdev.VXLAN
 	stops  []func()
+	// probe observes user-space delivery and socket drops (nil unobserved).
+	probe *stageProbe
 
 	// arriveErrs records reassembler Arrive failures (missing micro-flow
 	// stamps) instead of panicking mid-run; arriveErr keeps the first.
@@ -235,22 +240,33 @@ func (h *host) newClientCore() *sim.Core {
 	return c
 }
 
-// newStageT builds a stage and attaches the scenario tracer and, when the
-// scenario carries a registry, the per-stage latency/gap instrumentation.
-// Stages sharing a name (parallel branches, the same stage across flows)
-// share their histograms, so stage_latency{stage=X} aggregates all of X.
+// newProbe returns the observer of one receive-path point, or nil when the
+// run attaches nothing. With a registry the probe records the point's
+// stage_latency and stage_gap histograms; points sharing a name (parallel
+// branches, one stage across flows) share them, so stage_latency{stage=X}
+// aggregates all of X. trigger names the flight-recorder snapshot a drop at
+// the point takes.
+func (h *host) newProbe(name, trigger string, reg *obs.Registry) *stageProbe {
+	if h.sc.Obs == nil && h.tracer == nil && h.prof == nil && h.flight == nil {
+		return nil
+	}
+	p := &stageProbe{name: name, sched: h.sched, tracer: h.tracer, prof: h.prof, flight: h.flight, trigger: trigger}
+	if reg != nil {
+		p.latency = reg.Histogram("stage_latency", "stage", name)
+		p.gap = reg.GapTo(name)
+	}
+	return p
+}
+
+// newStageT builds a stage wired to the host's pool, overload account and
+// probes.
 func (h *host) newStageT(name string, coreC *sim.Core, cap int, wake sim.Duration) *stage {
 	st := newStage(name, coreC, h.sched, h.sc.Costs, cap, wake)
 	st.pool = h.pool
 	if h.ov != nil {
 		st.release = h.ov.acct.Release
 	}
-	st.tracer = h.sc.Tracer
-	if reg := h.sc.Obs; reg != nil {
-		st.obsOn = true
-		st.latency = reg.Histogram("stage_latency", "stage", name)
-		st.gap = reg.GapTo(name)
-	}
+	st.probe = h.newProbe(name, "drop-backlog", h.sc.Obs)
 	if h.inj != nil && h.sc.Faults.BacklogDrop > 0 {
 		// Backlog admission loss (netif_rx-style). The NIC-fed first
 		// stage swaps this for the ring gate in buildFlow.
@@ -289,7 +305,7 @@ func newHostShell(sc Scenario, pr Probes, opt hostOpts) *host {
 		sched = sim.NewScheduler(sc.Seed)
 	}
 	h := &host{sc: sc, sched: sched, obsPfx: opt.obsPfx}
-	h.prof, h.flight = pr.Causal, pr.Flight
+	h.tracer, h.prof, h.flight = pr.Tracer, pr.Causal, pr.Flight
 	h.nicH = nicDeliverH{h}
 	if opt.pool != nil {
 		h.pool = opt.pool
@@ -330,12 +346,12 @@ func newHostShell(sc Scenario, pr Probes, opt hostOpts) *host {
 	if opt.pktSeq != nil {
 		h.nic.PktSeq = opt.pktSeq
 	}
-	if sc.Capture != nil && sc.WireMode {
-		h.capture = pcap.NewWriter(sc.Capture)
+	if pr.Capture != nil && sc.WireMode {
+		h.capture = pcap.NewWriter(pr.Capture)
 	}
 
-	if sc.CoreLog != nil {
-		sc.CoreLog.Attach(h.cores...)
+	if pr.CoreLog != nil {
+		pr.CoreLog.Attach(h.cores...)
 	}
 	return h
 }
@@ -436,23 +452,12 @@ func (h *host) buildFlowRx(f int, id uint64) *flowPath {
 		// outstanding limit already models.
 		fp.sock.Gate(func(*skb.SKB) bool { return !h.inj.DropSock() })
 	}
-	if tr, reg := sc.Tracer, sc.Obs; tr != nil || reg != nil {
-		app := h.acore(f)
-		// User-space delivery is the pipeline's final stage: record its
-		// latency-since-NIC-arrival per wire segment (so histogram counts
-		// line up with delivered segment counts) and the queueing gap
-		// from the last kernel stage.
-		sockLat := reg.Histogram("stage_latency", "stage", "socket")
-		sockGap := reg.GapTo("socket")
-		fp.sock.Tap = func(s *skb.SKB, at sim.Time) {
-			if tr != nil {
-				tr.Record(at, s.PktID, s.FlowID, s.Seq, s.Segs, "socket", app.ID)
-			}
-			sockLat.RecordN(int64(at.Sub(s.ArrivedAt)), uint64(s.Segs))
-			if s.LastStage != "" {
-				sockGap(s.LastStage, int64(at.Sub(s.LastStageAt)))
-			}
-		}
+	if fp.probe = h.newProbe("socket", "drop-sock", sc.Obs); fp.probe != nil {
+		// User-space delivery is the pipeline's final stage: its latency
+		// since NIC arrival is recorded per wire segment, so histogram
+		// counts line up with delivered segment counts.
+		p, app := fp.probe, h.acore(f).ID
+		fp.sock.Tap = func(s *skb.SKB, at sim.Time) { p.deliver(s, at, app) }
 	}
 
 	var first *stage
@@ -462,8 +467,6 @@ func (h *host) buildFlowRx(f int, id uint64) *flowPath {
 		first = h.buildPlannedFlow(f, fp)
 	}
 	h.nic.AttachDriver(f, first.worker)
-	// The first stage's queue is the NIC descriptor ring: a probed run
-	// classifies its head wait as ring-wait, not softirq queueing.
 	first.ringFed = true
 	if h.inj != nil {
 		// The driver worker's queue is the NIC descriptor ring: its
@@ -631,19 +634,17 @@ func (h *host) tailFor(fp *flowPath, core *sim.Core) func(*skb.SKB, sim.Time) {
 // dropSock retires a skb rejected at the socket receive queue: the probes
 // observe the loss, then the skb returns to the pool.
 func (h *host) dropSock(fp *flowPath, s *skb.SKB) {
-	if p := h.prof; p != nil {
-		p.Drop(s, h.sched.Now(), "socket")
-	}
-	if fr := h.flight; fr != nil {
-		fr.Trigger("drop-sock", s.PktID, fp.id, h.sched.Now())
+	if fp.probe != nil {
+		fp.probe.drop(s)
 	}
 	h.retire(s)
 }
 
-// armCausal attaches the run's probes — the causal profiler and/or the
-// anomaly flight recorder — to the fully built topology. Every hook below is
-// a plain func field on the probed component: unprobed runs keep them nil
-// and pay nothing; probed runs only observe, never alter behaviour.
+// armCausal attaches the run's causal profiler and/or anomaly flight
+// recorder to the components outside the stages (whose probes carry both
+// from construction). Every hook below is a plain func field on the probed
+// component: unprobed runs keep them nil and pay nothing; probed runs only
+// observe, never alter behaviour.
 func (h *host) armCausal() {
 	p, fr := h.prof, h.flight
 	if p == nil && fr == nil {
@@ -653,35 +654,11 @@ func (h *host) armCausal() {
 		// Per-core execution rings chain onto any CoreLog already attached.
 		fr.Attach(h.cores...)
 	}
-	for _, st := range h.stages {
-		st.prof = p
-		if fr != nil {
-			st := st
-			st.onDrop = func(s *skb.SKB) {
-				fr.Trigger("drop-backlog", s.PktID, s.FlowID, h.sched.Now())
-			}
-		}
-	}
-	h.nic.OnDrop = func(s *skb.SKB) {
-		if p != nil {
-			p.Drop(s, h.sched.Now(), "nic-ring")
-		}
-		if fr != nil {
-			fr.Trigger("drop-ring", s.PktID, s.FlowID, h.sched.Now())
-		}
-	}
+	h.nic.OnDrop = h.newProbe("nic-ring", "drop-ring", nil).drop
+	split := h.newProbe("split-queue", "drop-split", nil)
 	for _, fp := range h.flows {
 		fp := fp
 		if p != nil {
-			// Userspace delivery is the terminal attribution point; the
-			// profiler closes the record after any tracing tap ran.
-			prevTap := fp.sock.Tap
-			fp.sock.Tap = func(s *skb.SKB, at sim.Time) {
-				if prevTap != nil {
-					prevTap(s, at)
-				}
-				p.Complete(s, at)
-			}
 			for _, w := range fp.sock.Workers() {
 				w.ServeLog = func(s *skb.SKB, start, end sim.Time) {
 					p.MarkServe(s, start, end)
@@ -718,12 +695,7 @@ func (h *host) armCausal() {
 			}
 			prevRecycle := fp.split.Recycle
 			fp.split.Recycle = func(s *skb.SKB) {
-				if p != nil {
-					p.Drop(s, h.sched.Now(), "split-queue")
-				}
-				if fr != nil {
-					fr.Trigger("drop-split", s.PktID, s.FlowID, h.sched.Now())
-				}
+				split.drop(s)
 				if prevRecycle != nil {
 					prevRecycle(s)
 				}
