@@ -189,7 +189,11 @@ type Profiler struct {
 	DroppedPkts   uint64
 	SumE2E        sim.Duration
 
-	agg       map[aggKey]*KindStat
+	agg map[aggKey]*KindStat
+	// aggHint[i] is the aggregate segment i of the previous timeline
+	// landed in. Timelines repeat their (kind, stage) sequence, so most
+	// segments find their aggregate here without hashing the key.
+	aggHint   []*KindStat
 	exemplars map[uint64][]*Rec
 
 	violations     uint64
@@ -406,16 +410,8 @@ func (p *Profiler) Complete(s *skb.SKB, at sim.Time) {
 	}
 	p.DeliveredPkts++
 	p.SumE2E += r.E2E()
-	if p.agg == nil {
-		p.agg = make(map[aggKey]*KindStat)
-	}
-	for _, seg := range r.Timeline {
-		k := aggKey{seg.Kind, seg.Stage}
-		st := p.agg[k]
-		if st == nil {
-			st = &KindStat{Kind: seg.Kind, Stage: seg.Stage}
-			p.agg[k] = st
-		}
+	for i, seg := range r.Timeline {
+		st := p.stat(i, seg.Kind, seg.Stage)
 		st.Count++
 		d := seg.Dur()
 		st.Total += d
@@ -424,6 +420,30 @@ func (p *Profiler) Complete(s *skb.SKB, at sim.Time) {
 		}
 	}
 	p.keepOrRecycle(r)
+}
+
+// stat returns the (kind, stage) aggregate for segment i of a timeline.
+// It tries aggHint[i] first; on a miss it looks the key up in the map and
+// moves the hint there for the next timeline.
+func (p *Profiler) stat(i int, kind SegKind, stage string) *KindStat {
+	if i < len(p.aggHint) {
+		if st := p.aggHint[i]; st != nil && st.Kind == kind && st.Stage == stage {
+			return st
+		}
+	} else {
+		p.aggHint = append(p.aggHint, make([]*KindStat, i+1-len(p.aggHint))...)
+	}
+	if p.agg == nil {
+		p.agg = make(map[aggKey]*KindStat)
+	}
+	k := aggKey{kind, stage}
+	st := p.agg[k]
+	if st == nil {
+		st = &KindStat{Kind: kind, Stage: stage}
+		p.agg[k] = st
+	}
+	p.aggHint[i] = st
+	return st
 }
 
 // keepOrRecycle retains r if it ranks among its flow's k slowest delivered
@@ -501,6 +521,7 @@ func (p *Profiler) ResetStats() {
 		return
 	}
 	p.agg = nil
+	clear(p.aggHint)
 	for _, ex := range p.exemplars {
 		for _, r := range ex {
 			p.recycle(r)

@@ -164,10 +164,16 @@ func (fs *fabState) syncObs(sc Scenario) {
 	}
 }
 
-// runFabric executes a multi-host scenario: N host shells on one shared
+// runFabric executes a multi-host scenario.
+func runFabric(sc Scenario, pr Probes) *Result {
+	fs := buildFabric(sc, pr)
+	return runHosts(sc, fs.sched, fs.hosts, fs)
+}
+
+// buildFabric assembles a multi-host scenario: N host shells on one shared
 // clock, flows placed across them by the fabric config, the TX side of
 // each flow wired through the VTEP/underlay chain into the RX host's NIC.
-func runFabric(sc Scenario, pr Probes) *Result {
+func buildFabric(sc Scenario, pr Probes) *fabState {
 	fcfg := sc.Fabric.WithDefaults()
 	n := fcfg.Hosts
 	sched := sim.NewScheduler(sc.Seed)
@@ -253,14 +259,15 @@ func runFabric(sc Scenario, pr Probes) *Result {
 			// Real bytes across the fabric: the builder lays the inner
 			// frame into headroom-reserved arenas (VTEP encap is the
 			// fabIngress's in-place push), and the owner host's socket
-			// verifies payload integrity after the remote decap.
+			// checks frame structure and payload length after the remote
+			// decap.
 			ingress = newWireBuilder(ingress, id, false)
-			fp.sock.Verify = wireVerify(fp)
+			fp.sock.Verify = wireVerify
 		}
 		fs.hosts[txH].buildFlowTx(f, fp, ingress)
 	}
 	for _, h := range fs.hosts {
 		h.finish()
 	}
-	return runHosts(sc, sched, fs.hosts, fs)
+	return fs
 }

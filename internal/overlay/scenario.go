@@ -141,8 +141,9 @@ type Scenario struct {
 	CopyThreads int
 	// WireMode attaches real wire bytes to every segment: senders build
 	// genuine inner frames and VxLAN encapsulation; the tunnel device
-	// decapsulates actual bytes; the socket verifies payload integrity
-	// on delivery. Slower; used for end-to-end validation.
+	// decapsulates actual bytes; the socket checks every frame's
+	// structure and payload length on delivery. Slower; used for
+	// end-to-end validation.
 	WireMode bool
 	// ModelTX replaces the aggregate client-cost model with an explicit
 	// sender-side transmit pipeline (socket send path, GSO, container
@@ -391,7 +392,7 @@ type Result struct {
 	DropsBacklog uint64
 
 	// WireErrors counts wire-mode integrity failures (decap errors plus
-	// socket payload-verification failures); zero in a correct run
+	// socket frame-check failures); zero in a correct run
 	// without fault injection (corruption faults surface here).
 	WireErrors uint64
 

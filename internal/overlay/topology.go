@@ -514,7 +514,7 @@ func (h *host) buildFlowTx(f int, fp *flowPath, ingress traffic.Ingress) {
 				ingress = &captureTap{h: h, inner: ingress}
 			}
 			ingress = newWireBuilder(wrapFault(ingress), fp.id, overlay)
-			fp.sock.Verify = wireVerify(fp)
+			fp.sock.Verify = wireVerify
 		case overlay:
 			ingress = encapIngress{wrapFault(ingress)}
 		default:

@@ -11,9 +11,10 @@ import (
 // wireBuilder materializes real wire bytes for every segment a sender
 // emits: an inner Ethernet/IPv4/TCP-or-UDP frame, wrapped in a genuine
 // RFC 7348 VxLAN encapsulation for overlay scenarios. The VxLAN device then
-// performs byte-level decapsulation and the socket verifies the payload on
-// delivery — end-to-end validation that the simulated data path manipulates
-// packets correctly, not just their cost accounting.
+// performs byte-level decapsulation and the socket checks every frame's
+// structure and payload length on delivery — end-to-end validation that
+// the simulated data path manipulates packets correctly, not just their
+// cost accounting.
 type wireBuilder struct {
 	n       traffic.Ingress
 	overlay bool
@@ -83,31 +84,30 @@ func (w *wireBuilder) Deliver(s *skb.SKB) bool {
 	return w.n.Deliver(s)
 }
 
-// wireVerify returns the socket-side integrity check for wire-mode runs:
-// the delivered skb must be decapsulated and its frames' transport payloads
-// must cover exactly the bytes the accounting says were delivered. This is
-// the stream's single terminal reader: it walks the head window and each
-// chained GRO frag part-wise, so even here the super-packet is never
-// materialized into one contiguous buffer.
-func wireVerify(_ *flowPath) func(*skb.SKB) error {
-	return func(s *skb.SKB) error {
-		if s.Encap {
-			return fmt.Errorf("wire: skb reached the socket still encapsulated: %v", s)
-		}
-		if s.Data == nil {
-			return fmt.Errorf("wire: skb lost its data: %v", s)
-		}
-		got := 0
-		for i, n := 0, s.Parts(); i < n; i++ {
-			pb, err := packet.PayloadBytes(s.Part(i))
-			if err != nil {
-				return fmt.Errorf("wire: corrupt frame at socket (part %d/%d): %w", i, n, err)
-			}
-			got += pb
-		}
-		if got != s.PayloadLen {
-			return fmt.Errorf("wire: payload %d bytes, accounting says %d", got, s.PayloadLen)
-		}
-		return nil
+// wireVerify is the socket-side integrity check for wire-mode runs: the
+// delivered skb must be decapsulated, every frame in it must parse down to
+// its transport payload, and those payloads must cover exactly the bytes
+// the accounting says were delivered. It checks structure and length, not
+// payload content. This is the stream's single terminal reader: it walks
+// the head window and each chained GRO frag part-wise, so even here the
+// super-packet is never materialized into one contiguous buffer.
+func wireVerify(s *skb.SKB) error {
+	if s.Encap {
+		return fmt.Errorf("wire: skb reached the socket still encapsulated: %v", s)
 	}
+	if s.Data == nil {
+		return fmt.Errorf("wire: skb lost its data: %v", s)
+	}
+	got := 0
+	for i, n := 0, s.Parts(); i < n; i++ {
+		pb, err := packet.PayloadBytes(s.Part(i))
+		if err != nil {
+			return fmt.Errorf("wire: corrupt frame at socket (part %d/%d): %w", i, n, err)
+		}
+		got += pb
+	}
+	if got != s.PayloadLen {
+		return fmt.Errorf("wire: payload %d bytes, accounting says %d", got, s.PayloadLen)
+	}
+	return nil
 }

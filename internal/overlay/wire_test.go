@@ -1,12 +1,16 @@
 package overlay
 
 import (
+	"fmt"
 	"testing"
 
 	"mflow/internal/fabric"
+	"mflow/internal/packet"
+	"mflow/internal/proto"
 	"mflow/internal/sim"
 	"mflow/internal/skb"
 	"mflow/internal/steering"
+	"mflow/internal/traffic"
 )
 
 // wireQuick returns a short wire-mode scenario.
@@ -107,5 +111,100 @@ func TestFabricWireModeNative(t *testing.T) {
 	r := Run(sc)
 	if r.WireErrors != 0 {
 		t.Errorf("native fabric wire mode: %d integrity errors", r.WireErrors)
+	}
+}
+
+// checkPattern is a content check for wire-mode TCP deliveries, stricter
+// than wireVerify's structure and length check: every frame in every part
+// of the delivered skb must carry the payload pattern (byte j of segment
+// seq is byte(seq+j)) for the segment its TCP header names, Seq / MSS. It
+// counts the frames it checked.
+func checkPattern(s *skb.SKB, frames *int) error {
+	for i, n := 0, s.Parts(); i < n; i++ {
+		err := packet.WalkFrames(s.Part(i), func(frame []byte) error {
+			_, _, tcp, _, payload, err := packet.ParseInner(frame)
+			if err != nil {
+				return err
+			}
+			if tcp.Seq%traffic.MSS != 0 {
+				return fmt.Errorf("TCP seq %d is not a segment boundary", tcp.Seq)
+			}
+			seq := uint64(tcp.Seq / traffic.MSS)
+			for j, b := range payload {
+				if want := byte(seq + uint64(j)); b != want {
+					return fmt.Errorf("segment %d byte %d is %#02x, pattern says %#02x", seq, j, b, want)
+				}
+			}
+			*frames++
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("part %d/%d: %w", i, n, err)
+		}
+	}
+	return nil
+}
+
+// TestWireModePayloadContent checks delivered payload bytes, not just
+// their count: after GRO frag chaining, MFLOW splitting and reassembly,
+// VxLAN decap and (on the fabric) a VTEP push and an underlay crossing,
+// every byte a TCP socket receives must be the pattern its sender wrote.
+func TestWireModePayloadContent(t *testing.T) {
+	cases := []struct {
+		name  string
+		sys   steering.System
+		hosts int
+	}{
+		{"vanilla", steering.Vanilla, 1},
+		{"mflow", steering.MFlow, 1},
+		{"mflow-fabric-2", steering.MFlow, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := wireQuick(tc.sys, skb.TCP)
+			var hosts []*host
+			var run func() *Result
+			if tc.hosts > 1 {
+				sc.Flows = 2
+				sc.Fabric = &fabric.Config{Hosts: tc.hosts}
+				sc = sc.withDefaults()
+				fs := buildFabric(sc, Probes{})
+				hosts = fs.hosts
+				run = func() *Result { return runHosts(sc, fs.sched, fs.hosts, fs) }
+			} else {
+				h := buildHost(sc.withDefaults(), Probes{})
+				hosts = []*host{h}
+				run = h.run
+			}
+			var sockets []*proto.Socket
+			frames := 0
+			for _, h := range hosts {
+				for _, fp := range h.flows {
+					base := fp.sock.Verify
+					if base == nil {
+						t.Fatalf("flow %d: wire-mode socket has no frame check", fp.id)
+					}
+					fp.sock.Verify = func(s *skb.SKB) error {
+						if err := base(s); err != nil {
+							return err
+						}
+						return checkPattern(s, &frames)
+					}
+					sockets = append(sockets, fp.sock)
+				}
+			}
+			r := run()
+			for _, so := range sockets {
+				if so.VerifyErrors != 0 {
+					t.Errorf("%d socket check failures, first: %v", so.VerifyErrors, so.FirstVerifyErr)
+				}
+			}
+			if r.WireErrors != 0 {
+				t.Errorf("%d wire errors", r.WireErrors)
+			}
+			if frames == 0 {
+				t.Fatal("no frame reached a socket")
+			}
+		})
 	}
 }
