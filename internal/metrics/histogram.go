@@ -17,6 +17,10 @@ import (
 // split into subBuckets linear sub-buckets, giving a bounded relative error
 // of about 1/subBuckets while using a few KB of memory regardless of range.
 type Histogram struct {
+	// counts covers buckets [0, len(counts)); higher buckets are zero. It
+	// grows one octave (subBuckets buckets) at a time as larger samples
+	// arrive, so a histogram of microsecond latencies never pays for the
+	// buckets up to 2^63.
 	counts []uint64
 	n      uint64
 	sum    float64
@@ -30,12 +34,22 @@ const (
 	numBuckets = exactMax + (63-6+1)*subBuckets
 )
 
-// NewHistogram returns an empty histogram.
+// NewHistogram returns an empty histogram. It allocates no buckets until
+// the first sample.
 func NewHistogram() *Histogram {
-	return &Histogram{
-		counts: make([]uint64, numBuckets),
-		min:    math.MaxInt64,
+	return &Histogram{min: math.MaxInt64}
+}
+
+// grow extends counts to cover bucket b, rounded up to a whole octave.
+// Capacity at least doubles, but never past numBuckets.
+func (h *Histogram) grow(b int) {
+	n := min((b/subBuckets+1)*subBuckets, numBuckets)
+	if n > cap(h.counts) {
+		c := make([]uint64, len(h.counts), min(max(n, 2*cap(h.counts)), numBuckets))
+		copy(c, h.counts)
+		h.counts = c
 	}
+	h.counts = h.counts[:n]
 }
 
 // bucketOf maps a value to its bucket: values < 64 are exact; beyond that,
@@ -79,7 +93,7 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	}
 	b := bucketOf(v)
 	if b >= len(h.counts) {
-		b = len(h.counts) - 1
+		h.grow(b)
 	}
 	h.counts[b] += n
 	h.n += n
@@ -160,6 +174,9 @@ func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
 
 // Merge adds all samples of other into h.
 func (h *Histogram) Merge(other *Histogram) {
+	if n := len(other.counts); n > len(h.counts) {
+		h.grow(n - 1)
+	}
 	for b, c := range other.counts {
 		h.counts[b] += c
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -216,4 +217,149 @@ func TestRecordN(t *testing.T) {
 	}
 	var nilH *Histogram
 	nilH.RecordN(1, 1) // must not panic
+}
+
+// eagerHistogram is Histogram with every bucket allocated up front, the
+// layout before buckets grew on demand. It is the reference the lazy
+// buckets must match bit for bit.
+type eagerHistogram struct {
+	counts   []uint64
+	n        uint64
+	sum      float64
+	min, max int64
+}
+
+func newEagerHistogram() *eagerHistogram {
+	return &eagerHistogram{counts: make([]uint64, numBuckets), min: math.MaxInt64}
+}
+
+func (h *eagerHistogram) RecordN(v int64, n uint64) {
+	if n == 0 {
+		return
+	}
+	if v < 0 {
+		v = 0
+	}
+	h.counts[bucketOf(v)] += n
+	h.n += n
+	h.sum += float64(v) * float64(n)
+	h.min = min(h.min, v)
+	h.max = max(h.max, v)
+}
+
+func (h *eagerHistogram) Merge(o *eagerHistogram) {
+	for b, c := range o.counts {
+		h.counts[b] += c
+	}
+	h.n += o.n
+	h.sum += o.sum
+	if o.n > 0 {
+		h.min = min(h.min, o.min)
+		h.max = max(h.max, o.max)
+	}
+}
+
+func (h *eagerHistogram) Reset() { *h = *newEagerHistogram() }
+
+func (h *eagerHistogram) Quantile(q float64) int64 {
+	if h.n == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return h.min
+	}
+	if q >= 1 {
+		return h.max
+	}
+	rank := min(uint64(q*float64(h.n)), h.n-1)
+	var cum uint64
+	for b, c := range h.counts {
+		cum += c
+		if cum > rank {
+			lo, hi := bucketLow(b), bucketLow(b+1)
+			return min(max(lo+(hi-lo)/2, h.min), h.max)
+		}
+	}
+	return h.max
+}
+
+// sameAsEager reports the first way h differs from the eager reference.
+func sameAsEager(t *testing.T, what string, h *Histogram, e *eagerHistogram) {
+	t.Helper()
+	emin := e.min
+	if e.n == 0 {
+		emin = 0
+	}
+	if h.Count() != e.n || math.Float64bits(h.Sum()) != math.Float64bits(e.sum) ||
+		h.Min() != emin || h.Max() != e.max {
+		t.Fatalf("%s: count/sum/min/max %d/%v/%d/%d, eager %d/%v/%d/%d",
+			what, h.Count(), h.Sum(), h.Min(), h.Max(), e.n, e.sum, emin, e.max)
+	}
+	for _, q := range []float64{0, .001, .5, .99, .999, 1} {
+		if got, want := h.Quantile(q), e.Quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%g) = %d, eager %d", what, q, got, want)
+		}
+	}
+}
+
+// TestLazyBucketsMatchEager records the same random samples into lazy
+// histograms and the eager reference: edge values, every range from exact
+// buckets to MaxInt64, RecordN with huge counts, merges both ways between
+// histograms of different bucket lengths and an empty one, and Reset
+// followed by re-recording. Every statistic must be identical.
+func TestLazyBucketsMatchEager(t *testing.T) {
+	edges := []int64{0, 63, 64, 1 << 62, math.MaxInt64, -1, -5, math.MinInt64}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Each pair draws from a different top exponent, so the lazy
+		// histograms end with different bucket lengths; pair 0 stays empty
+		// until it is merged into.
+		tops := []int{0, 6, 20, 63}
+		lazy := make([]*Histogram, len(tops))
+		eager := make([]*eagerHistogram, len(tops))
+		record := func(i, samples int) {
+			for k := 0; k < samples; k++ {
+				v := rng.Int63() >> (63 - rng.Intn(tops[i]+1))
+				if rng.Intn(20) == 0 {
+					v = edges[rng.Intn(len(edges))]
+				}
+				n := uint64(1)
+				if rng.Intn(10) == 0 {
+					n = uint64(rng.Int63n(1 << 40))
+				}
+				lazy[i].RecordN(v, n)
+				eager[i].RecordN(v, n)
+			}
+		}
+		for i := range tops {
+			lazy[i], eager[i] = NewHistogram(), newEagerHistogram()
+			if i > 0 {
+				record(i, 1+rng.Intn(500))
+			}
+			sameAsEager(t, "record", lazy[i], eager[i])
+		}
+		for i := range tops {
+			for j := range tops {
+				if i != j {
+					lazy[i].Merge(lazy[j])
+					eager[i].Merge(eager[j])
+					sameAsEager(t, "merge", lazy[i], eager[i])
+				}
+			}
+			lazy[i].Merge(NewHistogram())
+			eager[i].Merge(newEagerHistogram())
+			sameAsEager(t, "merge empty", lazy[i], eager[i])
+			into, intoEager := NewHistogram(), newEagerHistogram()
+			into.Merge(lazy[i])
+			intoEager.Merge(eager[i])
+			sameAsEager(t, "merge into empty", into, intoEager)
+		}
+		for i := range tops {
+			lazy[i].Reset()
+			eager[i].Reset()
+			sameAsEager(t, "reset", lazy[i], eager[i])
+			record(i, 1+rng.Intn(200))
+			sameAsEager(t, "re-record", lazy[i], eager[i])
+		}
+	}
 }

@@ -19,7 +19,7 @@ func TestDebugStages(t *testing.T) {
 		System: steering.RPS, Proto: skb.UDP, MsgSize: 65536,
 		Warmup: 2 * sim.Millisecond, Measure: 8 * sim.Millisecond,
 	}.withDefaults()
-	h := buildHost(sc, Probes{})
+	h := buildHost(sc, Probes{}, newPool())
 	r := h.run()
 	fmt.Println(r, "drops:", r.DropsRing, r.DropsSock, r.DropsBacklog)
 	for _, st := range h.stages {

@@ -166,21 +166,20 @@ func (fs *fabState) syncObs(sc Scenario) {
 
 // runFabric executes a multi-host scenario.
 func runFabric(sc Scenario, pr Probes) *Result {
-	fs := buildFabric(sc, pr)
+	pool := recycled.get()
+	defer recycled.put(pool)
+	fs := buildFabric(sc, pr, pool)
 	return runHosts(sc, fs.sched, fs.hosts, fs)
 }
 
 // buildFabric assembles a multi-host scenario: N host shells on one shared
-// clock, flows placed across them by the fabric config, the TX side of
-// each flow wired through the VTEP/underlay chain into the RX host's NIC.
-func buildFabric(sc Scenario, pr Probes) *fabState {
+// clock and one SKB pool (nil: unpooled), flows placed across them by the
+// fabric config, the TX side of each flow wired through the VTEP/underlay
+// chain into the RX host's NIC.
+func buildFabric(sc Scenario, pr Probes, pool *skb.Pool) *fabState {
 	fcfg := sc.Fabric.WithDefaults()
 	n := fcfg.Hosts
 	sched := sim.NewScheduler(sc.Seed)
-	var pool *skb.Pool
-	if !disablePool {
-		pool = &skb.Pool{}
-	}
 	var pktSeq uint64
 
 	fs := &fabState{

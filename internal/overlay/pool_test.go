@@ -3,7 +3,9 @@ package overlay
 import (
 	"testing"
 
+	"mflow/internal/fabric"
 	"mflow/internal/fault"
+	"mflow/internal/harness"
 	"mflow/internal/skb"
 	"mflow/internal/steering"
 )
@@ -74,6 +76,89 @@ func TestPoolingDoesNotChangeFaultResults(t *testing.T) {
 	}
 }
 
+// dirtyRecycledPools runs a wire-mode TCP run under the "random" chaos plan
+// (stale bytes, frag chains still held by in-flight skbs, duplicate clones)
+// and a 2-host wire fabric run, so the pools the run cache hands out next
+// have served runs that left them as messy as a run can.
+func dirtyRecycledPools() {
+	chaos := wireQuick(steering.MFlow, skb.TCP)
+	chaos.Faults = fault.ChaosProfiles()["random"]
+	Run(chaos)
+	fab := wireQuick(steering.MFlow, skb.TCP)
+	fab.Flows = 2
+	fab.Fabric = &fabric.Config{Hosts: 2}
+	Run(fab)
+}
+
+// idlePool returns the pool the run cache hands out next.
+func idlePool(t *testing.T) *skb.Pool {
+	t.Helper()
+	recycled.mu.Lock()
+	defer recycled.mu.Unlock()
+	if len(recycled.pools) == 0 {
+		t.Fatal("run cache holds no idle pool")
+	}
+	return recycled.pools[len(recycled.pools)-1]
+}
+
+// TestRecycledPoolsDoNotChangeResults is the cross-run recycling oracle:
+// every run of a matrix drawn from dirtied, recycled pools must
+// fingerprint-equal the same scenario run with pooling disabled, serially
+// and twice over under the parallel harness.
+func TestRecycledPoolsDoNotChangeResults(t *testing.T) {
+	type cell struct {
+		name string
+		mk   func() Scenario
+	}
+	var cells []cell
+	for _, sys := range []steering.System{steering.Vanilla, steering.MFlow} {
+		for _, proto := range []skb.Proto{skb.TCP, skb.UDP} {
+			name := sys.String() + "/" + proto.String()
+			cells = append(cells,
+				cell{name, func() Scenario { return determinismScenario(sys, proto) }},
+				cell{name + "/wire", func() Scenario { return wireQuick(sys, proto) }})
+		}
+	}
+	cells = append(cells, cell{"mflow/TCP/wire/fabric-2", func() Scenario {
+		sc := wireQuick(steering.MFlow, skb.TCP)
+		sc.Flows = 2
+		sc.Fabric = &fabric.Config{Hosts: 2}
+		return sc
+	}})
+
+	dirtyRecycledPools()
+	serial := make([]string, len(cells))
+	for i, c := range cells {
+		p := idlePool(t)
+		if p.Allocs == 0 {
+			t.Fatalf("%s: the idle pool never served a run", c.name)
+		}
+		puts := p.Puts
+		serial[i] = Run(c.mk()).Fingerprint()
+		if p.Puts == puts {
+			t.Errorf("%s: the run did not draw the recycled pool", c.name)
+		}
+		if idlePool(t) != p {
+			t.Errorf("%s: the run did not return its pool to the cache", c.name)
+		}
+		var unpooled string
+		withPoolDisabled(func() { unpooled = Run(c.mk()).Fingerprint() })
+		if serial[i] != unpooled {
+			t.Errorf("%s: run on a recycled pool diverged from unpooled:\n--- recycled ---\n%s\n--- unpooled ---\n%s",
+				c.name, serial[i], unpooled)
+		}
+	}
+
+	twice := append(append([]cell(nil), cells...), cells...)
+	parallel := harness.Map(4, twice, func(_ int, c cell) string { return Run(c.mk()).Fingerprint() })
+	for i, fp := range parallel {
+		if want := serial[i%len(cells)]; fp != want {
+			t.Errorf("%s (parallel pass %d): diverged from the serial pass:\n--- parallel ---\n%s\n--- serial ---\n%s",
+				twice[i].name, i/len(cells)+1, fp, want)
+		}
+	}
+}
+
 // TestPoolRecyclesDuringRun proves the pool is actually in the loop: over a
 // full run, recycling must outpace fresh allocation (the steady state runs
 // on recycled SKBs; Allocs only tracks the high-water mark of in-flight
@@ -81,7 +166,7 @@ func TestPoolingDoesNotChangeFaultResults(t *testing.T) {
 func TestPoolRecyclesDuringRun(t *testing.T) {
 	for _, proto := range []skb.Proto{skb.TCP, skb.UDP} {
 		sc := determinismScenario(steering.MFlow, proto).withDefaults()
-		h := buildHost(sc, Probes{})
+		h := buildHost(sc, Probes{}, newPool())
 		h.run()
 		if h.pool == nil {
 			t.Fatalf("%s: host built without a pool", proto)

@@ -23,8 +23,9 @@ func RunProbed(sc Scenario, pr Probes) *Result {
 	if sc.Fabric.Enabled() {
 		return runFabric(sc, pr)
 	}
-	h := buildHost(sc, pr)
-	return runHosts(sc, h.sched, []*host{h}, nil)
+	pool := recycled.get()
+	defer recycled.put(pool)
+	return buildHost(sc, pr, pool).run()
 }
 
 // snapshot captures the counters that measurement windows are diffed over.

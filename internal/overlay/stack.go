@@ -21,11 +21,13 @@ type Stack struct {
 }
 
 // NewStack builds the receive topology of sc (Flows connections) with no
-// senders attached.
+// senders attached. A Stack has no end of life at which its pool could be
+// recycled, so it always gets a fresh pool and never drains the cache
+// that runs share.
 func NewStack(sc Scenario) *Stack {
 	sc.NoTraffic = true
 	sc = sc.withDefaults()
-	st := &Stack{sc: sc, h: buildHost(sc, Probes{})}
+	st := &Stack{sc: sc, h: buildHost(sc, Probes{}, newPool())}
 	st.seqs = make([]traffic.SeqAlloc, sc.Flows)
 	st.msgs = make([]uint64, sc.Flows)
 	return st

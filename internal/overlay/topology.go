@@ -3,6 +3,7 @@ package overlay
 import (
 	"fmt"
 	"os"
+	"sync"
 
 	"mflow/internal/causal"
 	mflow "mflow/internal/core"
@@ -31,6 +32,53 @@ const sameCoreWake = 200 // softirq re-raise latency on the same core
 // fingerprints) must not depend on an engine-internal toggle.
 var disablePool = os.Getenv("MFLOW_NOPOOL") != ""
 
+// newPool returns a fresh SKB pool, or nil when pooling is disabled.
+func newPool() *skb.Pool {
+	if disablePool {
+		return nil
+	}
+	return &skb.Pool{}
+}
+
+// recycled hands each finished run's SKB pool to the next run, so a run
+// starts with the working set its predecessor grew instead of regrowing
+// it from empty. It is an explicit LIFO rather than a sync.Pool: it holds
+// at most one pool per run that was ever in flight at once, and the
+// garbage collector never drops a warm pool for a cold one.
+var recycled poolCache
+
+// poolCache is a mutex-guarded stack of idle, Reset pools.
+type poolCache struct {
+	mu    sync.Mutex
+	pools []*skb.Pool
+}
+
+// get returns an idle pool, a fresh one when none is idle, or nil when
+// pooling is disabled (which disables recycling too).
+func (c *poolCache) get() *skb.Pool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.pools); n > 0 && !disablePool {
+		p := c.pools[n-1]
+		c.pools[n-1] = nil
+		c.pools = c.pools[:n-1]
+		return p
+	}
+	return newPool()
+}
+
+// put resets the pool of a run that is over and makes it idle. The caller
+// must hold no reference to the run's SKBs (see skb.Pool.Reset).
+func (c *poolCache) put(p *skb.Pool) {
+	if p == nil {
+		return
+	}
+	p.Reset()
+	c.mu.Lock()
+	c.pools = append(c.pools, p)
+	c.mu.Unlock()
+}
+
 // udpBacklogCap bounds intermediate queues on UDP paths
 // (netdev_max_backlog-style); TCP paths are window-limited instead.
 const udpBacklogCap = 1000
@@ -49,8 +97,8 @@ type host struct {
 	inj     *fault.Injector // nil unless sc.Faults is enabled
 	ov      *ovState        // nil unless sc.Overload is enabled
 
-	// pool recycles the run's SKBs (nil when pooling is disabled). One
-	// pool per host per run — never shared across Schedulers.
+	// pool recycles the run's SKBs (nil when pooling is disabled). A
+	// pool serves one run at a time; fabric hosts share their run's pool.
 	pool *skb.Pool
 	// tracer / prof / flight are the run's probes (all nil for unprobed
 	// runs; see Probes). They observe the pipeline through stage probes and
@@ -275,20 +323,21 @@ func (h *host) newStageT(name string, coreC *sim.Core, cap int, wake sim.Duratio
 	return st
 }
 
-// hostOpts carries fabric-mode construction overrides; the zero value is
-// the single-host default (private clock, private pool, private PktID
-// sequence, unprefixed registry names).
+// hostOpts carries the run's SKB pool and fabric-mode construction
+// overrides; otherwise the zero value is the single-host default (private
+// clock, private PktID sequence, unprefixed registry names).
 type hostOpts struct {
 	sched  *sim.Scheduler // non-nil: share an existing DES clock
-	pool   *skb.Pool      // non-nil: share one SKB pool across hosts
+	pool   *skb.Pool      // the run's SKB pool (nil: pooling disabled)
 	pktSeq *uint64        // non-nil: share one PktID sequence across NICs
 	obsPfx string
 }
 
-// buildHost constructs the complete topology for a scenario, attaching any
-// probes after the topology is fully wired.
-func buildHost(sc Scenario, pr Probes) *host {
-	h := newHostShell(sc, pr, hostOpts{})
+// buildHost constructs the complete topology for a scenario on the given
+// SKB pool (nil: unpooled), attaching any probes after the topology is
+// fully wired.
+func buildHost(sc Scenario, pr Probes, pool *skb.Pool) *host {
+	h := newHostShell(sc, pr, hostOpts{pool: pool})
 	for f := 0; f < sc.Flows; f++ {
 		h.buildFlow(f)
 	}
@@ -307,11 +356,7 @@ func newHostShell(sc Scenario, pr Probes, opt hostOpts) *host {
 	h := &host{sc: sc, sched: sched, obsPfx: opt.obsPfx}
 	h.tracer, h.prof, h.flight = pr.Tracer, pr.Causal, pr.Flight
 	h.nicH = nicDeliverH{h}
-	if opt.pool != nil {
-		h.pool = opt.pool
-	} else if !disablePool {
-		h.pool = &skb.Pool{}
-	}
+	h.pool = opt.pool
 	if sc.Faults.Enabled() {
 		h.inj = fault.NewInjector(*sc.Faults, sc.Seed)
 	}

@@ -41,7 +41,7 @@ func TestWireModeEndToEndIntegrity(t *testing.T) {
 
 func TestWireModeDecapsulatesBytes(t *testing.T) {
 	sc := wireQuick(steering.MFlow, skb.TCP).withDefaults()
-	h := buildHost(sc, Probes{})
+	h := buildHost(sc, Probes{}, newPool())
 	h.run()
 	fp := h.flows[0]
 	if fp.vx == nil || fp.vx.Decapped == 0 {
@@ -149,30 +149,44 @@ func checkPattern(s *skb.SKB, frames *int) error {
 // their count: after GRO frag chaining, MFLOW splitting and reassembly,
 // VxLAN decap and (on the fabric) a VTEP push and an underlay crossing,
 // every byte a TCP socket receives must be the pattern its sender wrote.
+// The recycled cases run on a pool that dirtied runs handed back: no byte
+// a previous run left in a recycled arena may reach a socket.
 func TestWireModePayloadContent(t *testing.T) {
 	cases := []struct {
-		name  string
-		sys   steering.System
-		hosts int
+		name     string
+		sys      steering.System
+		hosts    int
+		recycled bool
 	}{
-		{"vanilla", steering.Vanilla, 1},
-		{"mflow", steering.MFlow, 1},
-		{"mflow-fabric-2", steering.MFlow, 2},
+		{"vanilla", steering.Vanilla, 1, false},
+		{"mflow", steering.MFlow, 1, false},
+		{"mflow-fabric-2", steering.MFlow, 2, false},
+		{"mflow-recycled", steering.MFlow, 1, true},
+		{"mflow-fabric-2-recycled", steering.MFlow, 2, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := wireQuick(tc.sys, skb.TCP)
+			pool := newPool()
+			if tc.recycled {
+				dirtyRecycledPools()
+				pool = recycled.get()
+				defer recycled.put(pool)
+				if pool.Allocs == 0 {
+					t.Fatal("the recycled pool never served a run")
+				}
+			}
 			var hosts []*host
 			var run func() *Result
 			if tc.hosts > 1 {
 				sc.Flows = 2
 				sc.Fabric = &fabric.Config{Hosts: tc.hosts}
 				sc = sc.withDefaults()
-				fs := buildFabric(sc, Probes{})
+				fs := buildFabric(sc, Probes{}, pool)
 				hosts = fs.hosts
 				run = func() *Result { return runHosts(sc, fs.sched, fs.hosts, fs) }
 			} else {
-				h := buildHost(sc.withDefaults(), Probes{})
+				h := buildHost(sc.withDefaults(), Probes{}, pool)
 				hosts = []*host{h}
 				run = h.run
 			}

@@ -27,12 +27,15 @@ func (r *refSKB) stream() []byte {
 // of the head window and the full logical stream after every operation,
 // and periodically cycling the SKB through a Pool to check that reuse
 // hands back a logically zero SKB and (in -race/skbdebug builds) that the
-// full arena was poisoned.
+// full arena was poisoned. Clones are Put into the pool, and a Reset op
+// ends the "run" with the SKB still held, checking Reset's contract
+// (checkReset) before the next Get.
 func FuzzSKBArena(f *testing.F) {
 	f.Add([]byte{0, 50, 14, 3, 5, 1, 8, 2, 3, 4, 7, 6})
 	f.Add([]byte{0, 0, 0, 3, 200, 1, 255, 5, 1, 1, 200, 6})
 	f.Add([]byte{5, 10, 5, 10, 5, 10, 6, 2, 30, 7, 0, 1})
 	f.Add(bytes.Repeat([]byte{3, 40, 2, 20, 1, 60, 4, 9}, 8))
+	f.Add([]byte{0, 10, 20, 3, 90, 5, 40, 6, 5, 30, 8, 3, 10, 6, 8})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		pool := &Pool{}
@@ -80,7 +83,7 @@ func FuzzSKBArena(f *testing.F) {
 		}
 
 		for i := 0; i < len(ops); {
-			switch next(&i) % 8 {
+			switch next(&i) % 9 {
 			case 0: // Reserve
 				h, n := next(&i), next(&i)*8
 				s.Reserve(h, n)
@@ -148,6 +151,7 @@ func FuzzSKBArena(f *testing.F) {
 					}
 					c.Data[0] = old
 				}
+				pool.Put(c) // a duplicate frame's terminal Put: foreign to the pool
 			case 7: // pool round trip: reuse must be logically zero, arena poisoned
 				arena := s.buf
 				pool.Put(s)
@@ -165,6 +169,16 @@ func FuzzSKBArena(f *testing.F) {
 				ref.window = nil
 				ref.frags = nil
 				check("PoolCycle")
+			case 8: // the run ends with s still held: Reset reclaims it too
+				pool.Reset()
+				checkReset(t, pool)
+				s = pool.Get()
+				if !logicallyZero(s) {
+					t.Fatalf("Get after Reset not logically zero: %+v", s)
+				}
+				ref.window = nil
+				ref.frags = nil
+				check("Reset")
 			}
 		}
 	})

@@ -1,9 +1,21 @@
 package skb
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
+
+// A pool retains a run's whole working set, so every byte an SKB grows is
+// resident memory: the struct stays at 256 bytes, which makes a slab
+// exactly 64 KiB.
+func TestSKBSize(t *testing.T) {
+	if n := unsafe.Sizeof(SKB{}); n > 256 {
+		t.Errorf("SKB is %d bytes, want at most 256", n)
+	}
+}
 
 func TestPoolReusesAndZeroes(t *testing.T) {
 	p := &Pool{}
@@ -132,6 +144,7 @@ func TestPoolNilReceiver(t *testing.T) {
 		t.Fatal("nil pool Get returned nil")
 	}
 	p.Put(s) // must not panic
+	p.Reset()
 	if p.Free() != 0 {
 		t.Errorf("nil pool Free = %d, want 0", p.Free())
 	}
@@ -142,5 +155,133 @@ func TestPoolPutNil(t *testing.T) {
 	p.Put(nil)
 	if p.Puts != 0 || p.Free() != 0 {
 		t.Errorf("Put(nil) counted: Puts = %d, Free = %d, want 0 and 0", p.Puts, p.Free())
+	}
+}
+
+// checkReset asserts Reset's contract on p: the freelist holds exactly the
+// SKBs p allocated, each once (so a Clone that was Put is dropped), and no
+// arena has two owners among the freelist's arenas, their frag chains and
+// the reclaimed reserve, compared by first-byte address. Debug builds also
+// require every reclaimed arena byte to be poisoned.
+func checkReset(t testing.TB, p *Pool) {
+	t.Helper()
+	if uint64(len(p.free)) != p.Allocs {
+		t.Fatalf("Reset left %d SKBs on the freelist, pool allocated %d", len(p.free), p.Allocs)
+	}
+	allocated := make(map[*SKB]bool)
+	for i, slab := range p.slabs {
+		if i == len(p.slabs)-1 {
+			slab = slab[:p.used]
+		}
+		for j := range slab {
+			allocated[&slab[j]] = true
+		}
+	}
+	onFree := make(map[*SKB]bool, len(p.free))
+	owner := make(map[*byte]string)
+	claim := func(a []byte, who string) {
+		if cap(a) == 0 {
+			return
+		}
+		first := &a[:1][0]
+		if prev, ok := owner[first]; ok {
+			t.Fatalf("arena %p owned by both %s and %s", first, prev, who)
+		}
+		owner[first] = who
+		if PoisonEnabled {
+			for j, b := range a[:cap(a)] {
+				if b != PoisonByte {
+					t.Fatalf("%s byte %d = %#x after Reset, want PoisonByte", who, j, b)
+				}
+			}
+		}
+	}
+	for i, s := range p.free {
+		if !allocated[s] {
+			t.Fatalf("free[%d] was not allocated by the pool", i)
+		}
+		if onFree[s] {
+			t.Fatalf("free[%d] is on the freelist twice", i)
+		}
+		onFree[s] = true
+		claim(s.buf, fmt.Sprintf("free[%d].buf", i))
+		for j, f := range s.frags {
+			claim(f.arena, fmt.Sprintf("free[%d].frags[%d]", i, j))
+		}
+	}
+	for i, a := range p.arenas {
+		claim(a, fmt.Sprintf("arenas[%d]", i))
+	}
+}
+
+// TestPoolResetRandomized ends random runs of Get, Put, GRO Merge (the
+// absorbed SKB Put or left live), Clone (the copy later Put into the pool
+// or dropped), run links and plain leaks with Reset, and requires Reset's
+// contract (checkReset) and that draining the freelist hands back only
+// logically zero SKBs without a fresh allocation. Each pool serves several
+// runs in a row, like the overlay's run cache.
+func TestPoolResetRandomized(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := &Pool{}
+		for run := 0; run < 4; run++ {
+			var live []*SKB
+			take := func() *SKB {
+				i := rng.Intn(len(live))
+				s := live[i]
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				return s
+			}
+			for step := 0; step < 300; step++ {
+				op := rng.Intn(7)
+				if len(live) < 2 {
+					op = 0
+				}
+				switch op {
+				case 0, 1: // Get, with wire bytes half the time
+					s := p.Get()
+					s.FlowID, s.Seq, s.Segs, s.Proto = 1, uint64(step), 1, TCP
+					s.CP = step
+					if rng.Intn(2) == 0 {
+						s.Reserve(rng.Intn(80), rng.Intn(2000))
+						for j, b := 0, s.Put(rng.Intn(1500)); j < len(b); j++ {
+							b[j] = byte(j + 1)
+						}
+					}
+					live = append(live, s)
+				case 2: // terminal Put
+					p.Put(take())
+				case 3: // GRO merge; the absorbed SKB is Put or leaks
+					head, other := take(), take()
+					head.Merge(other)
+					live = append(live, head)
+					if rng.Intn(2) == 0 {
+						p.Put(other)
+					} else {
+						live = append(live, other)
+					}
+				case 4: // Clone, the copy enters the run like a duplicate frame
+					live = append(live, live[rng.Intn(len(live))].Clone())
+				case 5: // emission-run link between two live SKBs
+					a, b := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
+					a.SetNextRun(b, 5)
+				case 6: // leak: the run drops its last reference
+					take()
+				}
+			}
+			p.Reset()
+			checkReset(t, p)
+			allocs := p.Allocs
+			for n := len(p.free); n > 0; n-- {
+				if s := p.Get(); !logicallyZero(s) {
+					t.Fatalf("seed %d run %d: Get after Reset returned %+v", seed, run, s)
+				}
+			}
+			if p.Allocs != allocs {
+				t.Fatalf("seed %d run %d: draining the reset freelist allocated %d SKBs", seed, run, p.Allocs-allocs)
+			}
+			p.Reset()
+		}
 	}
 }

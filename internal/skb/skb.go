@@ -49,15 +49,12 @@ type SKB struct {
 	WireLen int
 	// PayloadLen is the application payload bytes covered.
 	PayloadLen int
-	// Encap reports whether the segment still carries the outer
-	// VxLAN/UDP/IP/Ethernet headers (cleared by decapsulation).
-	Encap bool
 
 	// MsgID is the application message the segment belongs to, and
-	// MsgEnd marks the final segment of that message (used to clock
-	// request/response workloads and per-message latency).
-	MsgID  uint64
-	MsgEnd bool
+	// MsgEnd (with the flags at the end) marks the final segment of that
+	// message (used to clock request/response workloads and per-message
+	// latency).
+	MsgID uint64
 
 	// MicroFlow is the micro-flow identifier assigned by MFLOW's
 	// splitter: Seq/batchSize + 1. Zero means "not split". Branch is the
@@ -95,7 +92,6 @@ type SKB struct {
 	// the charge is still outstanding. Release balances against MemCharge,
 	// not WireLen, so GRO growth after admission cannot skew the account.
 	MemCharge int
-	Accounted bool
 
 	// Data optionally holds the real wire bytes (nil in synthetic runs;
 	// populated in wire-mode runs and correctness tests). When built via
@@ -125,6 +121,16 @@ type SKB struct {
 	// unless a run is probed). Declared as any to keep skb free of an
 	// internal/causal dependency; only the profiler reads or writes it.
 	CP any
+
+	// The flags share one word, which keeps an SKB at 256 bytes: a pool
+	// retains a run's whole working set, so every padding byte is
+	// resident memory. Encap reports whether the segment still carries
+	// the outer VxLAN/UDP/IP/Ethernet headers (cleared by
+	// decapsulation); MsgEnd and Accounted are documented with MsgID and
+	// MemCharge.
+	Encap     bool
+	MsgEnd    bool
+	Accounted bool
 }
 
 // String summarizes the SKB for diagnostics.
@@ -197,8 +203,9 @@ func (s *SKB) Merge(other *SKB) {
 
 // Pool recycles SKBs to keep large simulations allocation-light. The
 // simulator is single-goroutine per run, so a plain freelist suffices; a
-// Pool must never be shared across Schedulers (one pool per simulated run),
-// which preserves both determinism and race-freedom.
+// Pool must never be shared by two concurrent runs, which preserves both
+// determinism and race-freedom. A finished run may hand its pool to the
+// next one through Reset.
 //
 // Ownership rules (see DESIGN.md §8): exactly one component owns an SKB at a
 // time, and only the owner at a terminal point — final socket delivery, a
@@ -211,6 +218,10 @@ func (s *SKB) Merge(other *SKB) {
 // so pooling can be disabled wholesale by wiring no pool at all.
 type Pool struct {
 	free []*SKB
+	// slabs hold every SKB this pool allocated, the set Reset returns to
+	// the freelist; the last slab is handed out up to used.
+	slabs [][]SKB
+	used  int
 	// arenas holds backing arrays reclaimed from frag chains on Put:
 	// GRO strips an absorbed SKB of its arena, so Get re-arms
 	// arena-less SKBs from this list to keep the steady state
@@ -247,8 +258,20 @@ func (p *Pool) Get() *SKB {
 		return s
 	}
 	p.Allocs++
-	return &SKB{}
+	if len(p.slabs) == 0 || p.used == slabLen {
+		p.slabs = append(p.slabs, make([]SKB, slabLen))
+		p.used = 0
+	}
+	s := &p.slabs[len(p.slabs)-1][p.used]
+	p.used++
+	return s
 }
+
+// slabLen is how many SKBs a pool allocates at once: one 64 KiB object.
+// A pool that grows to a run's peak working set (tens of thousands of
+// SKBs for a 20-flow TCP run) costs a few hundred mallocs instead of one
+// per SKB, and the slabs are the record of every SKB Reset must return.
+const slabLen = 256
 
 // Put returns an SKB to the pool. The caller must not retain it. In -race
 // (or skbdebug-tagged) builds the SKB's fields are poisoned — including
@@ -260,6 +283,15 @@ func (p *Pool) Put(s *SKB) {
 	if p == nil || s == nil {
 		return
 	}
+	p.reclaim(s)
+	p.Puts++
+	p.free = append(p.free, s)
+}
+
+// reclaim strips s for the freelist: chained arenas move to the reserve,
+// the window, causal record and run link are dropped, and debug builds
+// poison what is left.
+func (p *Pool) reclaim(s *SKB) {
 	for i := range s.frags {
 		if a := s.frags[i].arena; a != nil {
 			poisonArena(a)
@@ -273,8 +305,31 @@ func (p *Pool) Put(s *SKB) {
 	s.off = 0
 	s.CP = nil
 	s.runNext, s.runAt = nil, 0
-	p.Puts++
-	p.free = append(p.free, s)
+}
+
+// Reset returns every SKB the pool allocated to the freelist, exactly
+// once, whether the run Put it back or still held it, so a finished run's
+// working set becomes the next run's warm start. SKBs the pool did not
+// allocate (Clone copies that were Put) are dropped, not adopted.
+//
+// Reset is valid only once the run that used the pool is over and nothing
+// references its SKBs any more: the dead run's scheduler may still hold
+// in-flight SKBs, so it must never run again.
+func (p *Pool) Reset() {
+	if p == nil {
+		return
+	}
+	clear(p.free)
+	p.free = p.free[:0]
+	for i, slab := range p.slabs {
+		if i == len(p.slabs)-1 {
+			slab = slab[:p.used]
+		}
+		for j := range slab {
+			p.reclaim(&slab[j])
+			p.free = append(p.free, &slab[j])
+		}
+	}
 }
 
 // Free returns the number of SKBs currently available for reuse.
