@@ -41,15 +41,9 @@ func NewHistogram() *Histogram {
 }
 
 // grow extends counts to cover bucket b, rounded up to a whole octave.
-// Capacity at least doubles, but never past numBuckets.
 func (h *Histogram) grow(b int) {
 	n := min((b/subBuckets+1)*subBuckets, numBuckets)
-	if n > cap(h.counts) {
-		c := make([]uint64, len(h.counts), min(max(n, 2*cap(h.counts)), numBuckets))
-		copy(c, h.counts)
-		h.counts = c
-	}
-	h.counts = h.counts[:n]
+	h.counts = append(h.counts, make([]uint64, n-len(h.counts))...)
 }
 
 // bucketOf maps a value to its bucket: values < 64 are exact; beyond that,
