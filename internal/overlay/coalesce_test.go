@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"mflow/internal/fabric"
 	"mflow/internal/fault"
 	"mflow/internal/sim"
 	"mflow/internal/skb"
@@ -116,5 +117,70 @@ func TestCoalescingTelemetry(t *testing.T) {
 	}
 	if st.PeakHeap > eager.PeakHeap {
 		t.Errorf("coalescing grew the peak heap: %d vs eager %d", st.PeakHeap, eager.PeakHeap)
+	}
+}
+
+// deepLaneScenario is the client-bound cell where TCP senders build deep
+// done lanes: 16 B messages over 20 flows with the default window of 2048
+// segments, on the multi-flow core layout.
+func deepLaneScenario(sys steering.System) Scenario {
+	sc := determinismScenario(sys, skb.TCP)
+	sc.MsgSize, sc.Flows = 16, 20
+	sc.KernelCores, sc.AppCores = 10, 5
+	return sc
+}
+
+// TestDeepLaneFingerprints extends the coalescing oracle to the cells where
+// sender lanes run deep or interleave with retransmissions and RTO timers:
+// client-bound 16 B × 20 flows, a reliable 16 B sender under the "random"
+// chaos plan, and a two-host wire fabric under the same plan. Each must
+// fingerprint-equal its MFLOW_NOCOALESCE twin. It also pins the depth the
+// lanes save: the deep cell's peak heap stays below one window, which
+// fails as soon as pending completions go back into the heap one by one.
+func TestDeepLaneFingerprints(t *testing.T) {
+	if !sim.CoalescingEnabled() {
+		t.Skip("MFLOW_NOCOALESCE is set; the comparison needs the lazy side")
+	}
+	random := fault.ChaosProfiles()["random"]
+	cells := []struct {
+		name string
+		mk   func() Scenario
+	}{
+		{"vanilla/16B/20flows", func() Scenario { return deepLaneScenario(steering.Vanilla) }},
+		{"mflow/16B/20flows", func() Scenario { return deepLaneScenario(steering.MFlow) }},
+		{"mflow/16B/4flows/random", func() Scenario {
+			sc := determinismScenario(steering.MFlow, skb.TCP)
+			sc.MsgSize, sc.Flows, sc.Faults = 16, 4, random
+			return sc
+		}},
+		{"mflow/wire/fabric-2/random", func() Scenario {
+			sc := wireQuick(steering.MFlow, skb.TCP)
+			sc.Flows, sc.Faults = 2, random
+			sc.Fabric = &fabric.Config{Hosts: 2}
+			return sc
+		}},
+	}
+	coalesced := make([]*Result, len(cells))
+	for i, c := range cells {
+		coalesced[i] = Run(c.mk())
+	}
+	eager := make([]*Result, len(cells))
+	withCoalescingDisabled(func() {
+		for i, c := range cells {
+			eager[i] = Run(c.mk())
+		}
+	})
+	for i, c := range cells {
+		if a, b := coalesced[i].Fingerprint(), eager[i].Fingerprint(); a != b {
+			t.Errorf("%s: lane-coalesced run diverged from eager reference:\n--- coalesced ---\n%s\n--- eager ---\n%s",
+				c.name, a, b)
+		}
+		t.Logf("%s: peak heap %d coalesced, %d eager", c.name, coalesced[i].Sched.PeakHeap, eager[i].Sched.PeakHeap)
+	}
+	const window = 2048 // the TCP window deepLaneScenario leaves at its default
+	for i := 0; i < 2; i++ {
+		if peak := coalesced[i].Sched.PeakHeap; peak >= window {
+			t.Errorf("%s: peak heap %d, want below one window (%d)", cells[i].name, peak, window)
+		}
 	}
 }

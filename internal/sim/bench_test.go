@@ -189,3 +189,23 @@ func BenchmarkCoreRun(b *testing.B) {
 		s.Run()
 	}
 }
+
+// BenchmarkLaneAppend appends one entry to a standing lane 1024 deep and
+// dispatches the lane's head per iteration: the append links into the tail
+// entry's own words, and only the head is ever in the heap. Pinned at 0
+// allocs/op by the bench gate.
+func BenchmarkLaneAppend(b *testing.B) {
+	const depth = 1024
+	s := NewScheduler(1)
+	l := NewLane(s, &nopHandler{})
+	var links [depth + 1]laneLink
+	for i := 0; i < depth; i++ {
+		l.Append(&links[i], Time(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Append(&links[(i+depth)%len(links)], Time(i+depth))
+		s.RunUntil(Time(i))
+	}
+}

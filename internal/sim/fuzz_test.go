@@ -116,15 +116,21 @@ func (d *fuzzDriver) run() {
 	d.pendings = append(d.pendings, d.s.pending())
 }
 
-// realSched adapts the production Scheduler (heap + inline slot + lazy runs)
-// to the fuzz surface.
-type realSched struct {
-	s *Scheduler
-	d *fuzzDriver
+// firer receives every dispatch a scheduler under test makes.
+type firer interface {
+	fire(id int, now Time)
 }
 
-// realFireH dispatches both single events (arg int) and run entries
-// (arg *runLink) into the driver.
+// realSched adapts the production Scheduler (heap + inline slot + lazy runs
+// and lanes) to the fuzz surface.
+type realSched struct {
+	s     *Scheduler
+	d     firer
+	lanes [fuzzLanes]*Lane
+}
+
+// realFireH dispatches single events (arg int), run entries (arg *runLink)
+// and lane entries (arg *laneLink) into the driver.
 type realFireH struct{ r *realSched }
 
 func (h realFireH) Handle(arg any, now Time) {
@@ -132,6 +138,8 @@ func (h realFireH) Handle(arg any, now Time) {
 	case int:
 		h.r.d.fire(v, now)
 	case *runLink:
+		h.r.d.fire(v.id, now)
+	case *laneLink:
 		h.r.d.fire(v.id, now)
 	}
 }
@@ -165,7 +173,7 @@ type refSched struct {
 	evts    []fireRec // at carries the fire time; seq is the slice entry below
 	seqs    []uint64
 	stopped bool
-	d       *fuzzDriver
+	d       firer
 }
 
 func (r *refSched) now() Time { return r.clock }
@@ -234,23 +242,30 @@ func FuzzSchedulerRuns(f *testing.F) {
 		ref.s = fs
 		ref.run()
 
-		if len(real.log) != len(ref.log) {
-			t.Fatalf("dispatch counts differ: real %d ref %d", len(real.log), len(ref.log))
-		}
-		for i := range real.log {
-			if real.log[i] != ref.log[i] {
-				t.Fatalf("dispatch %d differs: real %+v ref %+v", i, real.log[i], ref.log[i])
-			}
-		}
-		for i := range real.clocks {
-			if real.clocks[i] != ref.clocks[i] {
-				t.Fatalf("clock %d differs: real %d ref %d", i, real.clocks[i], ref.clocks[i])
-			}
-		}
-		for i := range real.pendings {
-			if real.pendings[i] != ref.pendings[i] {
-				t.Fatalf("pending %d differs: real %d ref %d", i, real.pendings[i], ref.pendings[i])
-			}
-		}
+		diffDrivers(t, real, ref)
 	})
+}
+
+// diffDrivers fails t unless both drivers observed the same dispatch log,
+// clock readings and pending counts.
+func diffDrivers(t *testing.T, real, ref *fuzzDriver) {
+	t.Helper()
+	if len(real.log) != len(ref.log) {
+		t.Fatalf("dispatch counts differ: real %d ref %d", len(real.log), len(ref.log))
+	}
+	for i := range real.log {
+		if real.log[i] != ref.log[i] {
+			t.Fatalf("dispatch %d differs: real %+v ref %+v", i, real.log[i], ref.log[i])
+		}
+	}
+	for i := range real.clocks {
+		if real.clocks[i] != ref.clocks[i] {
+			t.Fatalf("clock %d differs: real %d ref %d", i, real.clocks[i], ref.clocks[i])
+		}
+	}
+	for i := range real.pendings {
+		if real.pendings[i] != ref.pendings[i] {
+			t.Fatalf("pending %d differs: real %d ref %d", i, real.pendings[i], ref.pendings[i])
+		}
+	}
 }

@@ -52,6 +52,8 @@ func (h *logH) Handle(arg any, now Time) {
 	switch v := arg.(type) {
 	case *runLink:
 		h.ids = append(h.ids, v.id)
+	case *laneLink:
+		h.ids = append(h.ids, v.id)
 	case int:
 		h.ids = append(h.ids, v)
 	default:

@@ -35,11 +35,12 @@ type RunLink interface {
 	SetNextRun(next RunLink, at Time)
 }
 
-// disableCoalesce force-disables run coalescing and inline-slot delivery
-// (every entry is inserted into the heap eagerly, one event apiece — the
-// naive reference behaviour). Settable via the MFLOW_NOCOALESCE environment
-// variable, mirroring MFLOW_NOPOOL: the fingerprint equivalence tests flip
-// it to prove coalescing is timing-model-inert.
+// disableCoalesce force-disables run coalescing, lane chaining and
+// inline-slot delivery (every entry is inserted into the heap eagerly, one
+// event apiece — the naive reference behaviour). Settable via the
+// MFLOW_NOCOALESCE environment variable, mirroring MFLOW_NOPOOL: the
+// fingerprint equivalence tests flip it to prove coalescing is
+// timing-model-inert.
 var disableCoalesce = os.Getenv("MFLOW_NOCOALESCE") != ""
 
 // SetCoalescing enables or disables run coalescing process-wide and returns
@@ -95,8 +96,9 @@ type SchedStats struct {
 	// Scheduled counts logical events accepted (At/AtHandler calls plus
 	// every entry of every run).
 	Scheduled uint64
-	// Coalesced counts run entries whose heap insert was deferred to fire
-	// time (the k-1 tail entries of each lazily-emitted run).
+	// Coalesced counts entries whose heap insert was deferred until their
+	// predecessor fired: the k-1 tail entries of each lazily-emitted run,
+	// and every lane append chained behind the lane's tail (see Lane).
 	Coalesced uint64
 	// Inlined counts events dispatched from the inline slot, bypassing the
 	// heap entirely.
@@ -150,8 +152,8 @@ type Scheduler struct {
 	slot     event
 	slotFull bool
 
-	// deferred counts run entries reserved but not yet materialized, so
-	// Pending stays exact under lazy emission.
+	// deferred counts run and lane entries reserved but not yet
+	// materialized, so Pending stays exact under lazy emission.
 	deferred int
 
 	stats SchedStats
@@ -396,7 +398,8 @@ func (s *Scheduler) pop() event {
 }
 
 // Pending reports the number of events waiting to run, counting every
-// reserved entry of a lazily-emitted run (not just its materialized head).
+// reserved entry of a lazily-emitted run or a lane (not just the
+// materialized heads).
 func (s *Scheduler) Pending() int {
 	n := len(s.events) + s.deferred
 	if s.slotFull {

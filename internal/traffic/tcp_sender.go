@@ -106,11 +106,14 @@ type TCPSender struct {
 	// Closure-free scheduling: per-event state (the segment record, the
 	// retransmit sequence, the RTO generation) rides a pooled txEvt
 	// through the event's arg slot, replacing the per-segment closures.
-	doneH     tcpDoneH
+	// First-transmission completions leave the FIFO client core in
+	// non-decreasing time order, so they ride one lane: only the earliest
+	// pending completion sits in the event heap.
+	doneLane  *sim.Lane
 	retxDoneH tcpRetxDoneH
 	netH      tcpNetH
 	rtoH      tcpRTOH
-	evtFree   []*txEvt
+	evtFree   *txEvt // freelist, threaded through runNext
 }
 
 // txEvt carries per-event state for the sender's scheduler events; instances
@@ -120,41 +123,44 @@ type txEvt struct {
 	rec *segRec
 	n   uint64 // retransmit sequence, or RTO generation
 
-	// runNext / runAt chain a pump burst's completion events into one
-	// scheduler run (sim.RunLink); consumed and cleared at fire time.
+	// runNext / runAt / runSeq link a completion to its successor on the
+	// sender's done lane (sim.LaneLink); consumed and cleared at fire time.
+	// Before that, pump's burst chain borrows runNext and runAt, and on the
+	// freelist runNext links free events.
 	runNext *txEvt
 	runAt   sim.Time
+	runSeq  uint64
 }
 
-// NextRun implements sim.RunLink.
-func (e *txEvt) NextRun() (sim.RunLink, sim.Time) {
+// NextLane implements sim.LaneLink.
+func (e *txEvt) NextLane() (sim.LaneLink, sim.Time, uint64) {
 	if e.runNext == nil {
-		return nil, 0
+		return nil, 0, 0
 	}
-	return e.runNext, e.runAt
+	return e.runNext, e.runAt, e.runSeq
 }
 
-// SetNextRun implements sim.RunLink.
-func (e *txEvt) SetNextRun(next sim.RunLink, at sim.Time) {
+// SetNextLane implements sim.LaneLink.
+func (e *txEvt) SetNextLane(next sim.LaneLink, at sim.Time, seq uint64) {
 	if next == nil {
-		e.runNext, e.runAt = nil, 0
+		e.runNext, e.runAt, e.runSeq = nil, 0, 0
 		return
 	}
-	e.runNext, e.runAt = next.(*txEvt), at
+	e.runNext, e.runAt, e.runSeq = next.(*txEvt), at, seq
 }
 
 func (t *TCPSender) getEvt() *txEvt {
-	if n := len(t.evtFree); n > 0 {
-		e := t.evtFree[n-1]
-		t.evtFree = t.evtFree[:n-1]
+	if e := t.evtFree; e != nil {
+		t.evtFree = e.runNext
+		e.runNext = nil
 		return e
 	}
 	return &txEvt{}
 }
 
 func (t *TCPSender) putEvt(e *txEvt) {
-	*e = txEvt{}
-	t.evtFree = append(t.evtFree, e)
+	*e = txEvt{runNext: t.evtFree}
+	t.evtFree = e
 }
 
 // tcpDoneH fires at a first transmission's client-core completion: it stamps
@@ -236,7 +242,7 @@ func (t *TCPSender) Start() {
 	if t.Reliable {
 		t.sent = make(map[uint64]*segRec)
 	}
-	t.doneH = tcpDoneH{t}
+	t.doneLane = sim.NewLane(t.Sched, tcpDoneH{t})
 	t.retxDoneH = tcpRetxDoneH{t}
 	t.netH = tcpNetH{t}
 	t.rtoH = tcpRTOH{t}
@@ -372,25 +378,26 @@ func (t *TCPSender) pump() {
 	if win <= 0 {
 		win = 512
 	}
-	// A window burst's completion events form one emission run (the FIFO
-	// client core makes their instants monotone; the RTO armed by the
-	// first reliable segment keeps its place because it is scheduled
-	// inline, before the run's seq block is reserved).
+	// The burst is collected first, each event holding its own completion
+	// time in runAt and its successor in runNext, and appended to the done
+	// lane only after the loop: the RTO armed by the first reliable
+	// segment takes its seq before any completion's.
 	var head, tail *txEvt
-	var headAt sim.Time
-	n := 0
 	for t.Outstanding() < win {
 		e, end := t.sendSegment()
+		e.runAt = end
 		if tail == nil {
-			head, headAt = e, end
+			head = e
 		} else {
-			tail.SetNextRun(e, end)
+			tail.runNext = e
 		}
 		tail = e
-		n++
 	}
-	if n > 0 {
-		t.Sched.ScheduleRun(t.doneH, head, headAt, n)
+	for e := head; e != nil; {
+		next, at := e.runNext, e.runAt
+		e.runNext, e.runAt = nil, 0
+		t.doneLane.Append(e, at)
+		e = next
 	}
 }
 
