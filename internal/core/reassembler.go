@@ -100,7 +100,7 @@ type Reassembler struct {
 	// Arrive — gap-timer and flush deliveries have no arrival to blame).
 	blamePkt uint64
 
-	queues      [][]*skb.SKB
+	queues      []skbFIFO
 	counter     uint64 // micro-flow currently merged (1-based)
 	expectedSeq uint64 // next segment sequence to deliver
 	arrivedMax  uint64 // highest EndSeq seen at the merge point
@@ -140,7 +140,7 @@ func NewReassembler(numQueues, batchSize int, deliver func(*skb.SKB)) *Reassembl
 	return &Reassembler{
 		BatchSize: batchSize,
 		Deliver:   deliver,
-		queues:    make([][]*skb.SKB, numQueues),
+		queues:    make([]skbFIFO, numQueues),
 		counter:   1,
 	}
 }
@@ -170,7 +170,7 @@ func (r *Reassembler) Arrive(s *skb.SKB) error {
 	if r.TagRouting {
 		qi = s.Branch % len(r.queues)
 	}
-	r.queues[qi] = append(r.queues[qi], s)
+	r.queues[qi].push(s)
 	r.buffered++
 	if r.buffered > r.BufferedPeak {
 		r.BufferedPeak = r.buffered
@@ -250,13 +250,23 @@ func (r *Reassembler) onGapTimer() {
 
 // lowestHead returns the lowest-sequence buffered queue head, or nil.
 func (r *Reassembler) lowestHead() *skb.SKB {
-	var best *skb.SKB
-	for _, q := range r.queues {
-		if len(q) == 0 {
+	if best := r.lowestQueue(); best != -1 {
+		return r.queues[best].front()
+	}
+	return nil
+}
+
+// lowestQueue returns the index of the queue whose head has the lowest
+// sequence (the first such queue on a tie), or -1 when all are empty.
+func (r *Reassembler) lowestQueue() int {
+	best := -1
+	for i := range r.queues {
+		q := &r.queues[i]
+		if q.len() == 0 {
 			continue
 		}
-		if best == nil || q[0].Seq < best.Seq {
-			best = q[0]
+		if best == -1 || q.front().Seq < r.queues[best].front().Seq {
+			best = i
 		}
 	}
 	return best
@@ -267,20 +277,11 @@ func (r *Reassembler) lowestHead() *skb.SKB {
 // The segments lost in the hole stay lost (UDP) or return later as
 // retransmissions, which the stale path delivers.
 func (r *Reassembler) releaseHole() {
-	best := -1
-	for i, q := range r.queues {
-		if len(q) == 0 {
-			continue
-		}
-		if best == -1 || q[0].Seq < r.queues[best][0].Seq {
-			best = i
-		}
-	}
+	best := r.lowestQueue()
 	if best == -1 {
 		return
 	}
-	head := r.queues[best][0]
-	r.queues[best] = r.queues[best][1:]
+	head := r.queues[best].pop()
 	r.buffered--
 	r.HolesReleased++
 	if head.MicroFlow > r.counter {
@@ -312,11 +313,11 @@ func (r *Reassembler) pump() {
 	}
 	for {
 		qi := int((r.counter - 1) % uint64(len(r.queues)))
-		q := r.queues[qi]
-		if len(q) == 0 {
+		q := &r.queues[qi]
+		if q.len() == 0 {
 			return // current micro-flow still in flight on its core
 		}
-		head := q[0]
+		head := q.front()
 		if head.MicroFlow > r.counter {
 			// The queue is FIFO per core, so a later micro-flow at the
 			// head means the current one ended short (final partial
@@ -333,7 +334,7 @@ func (r *Reassembler) pump() {
 				r.violation("reassembler: stale %v behind counter %d", head, r.counter)
 			}
 			r.StaleSKBs++
-			r.queues[qi] = q[1:]
+			q.pop()
 			r.buffered--
 			r.DeliveredSegments += uint64(head.Segs)
 			if r.Core != nil && r.PerSKB > 0 {
@@ -354,7 +355,7 @@ func (r *Reassembler) pump() {
 				r.expectedSeq = head.Seq
 			}
 		}
-		r.queues[qi] = q[1:]
+		q.pop()
 		r.buffered--
 		r.expectedSeq = head.EndSeq()
 		r.DeliveredSegments += uint64(head.Segs)
@@ -383,12 +384,12 @@ func (r *Reassembler) pumpTagged() {
 		progressed := false
 		// Drain any stale heads (micro-flows rotated past under loss).
 		for i := range r.queues {
-			for len(r.queues[i]) > 0 && r.queues[i][0].MicroFlow < r.counter {
+			q := &r.queues[i]
+			for q.len() > 0 && q.front().MicroFlow < r.counter {
 				if !r.AllowGaps {
-					r.violation("reassembler: stale %v behind counter %d", r.queues[i][0], r.counter)
+					r.violation("reassembler: stale %v behind counter %d", q.front(), r.counter)
 				}
-				head := r.queues[i][0]
-				r.queues[i] = r.queues[i][1:]
+				head := q.pop()
 				r.buffered--
 				r.StaleSKBs++
 				r.DeliveredSegments += uint64(head.Segs)
@@ -402,12 +403,13 @@ func (r *Reassembler) pumpTagged() {
 		// Locate the queue carrying the counter's micro-flow.
 		cur := -1
 		anyEmpty := false
-		for i, q := range r.queues {
-			if len(q) == 0 {
+		for i := range r.queues {
+			q := &r.queues[i]
+			if q.len() == 0 {
 				anyEmpty = true
 				continue
 			}
-			if q[0].MicroFlow == r.counter {
+			if q.front().MicroFlow == r.counter {
 				cur = i
 				break
 			}
@@ -422,7 +424,7 @@ func (r *Reassembler) pumpTagged() {
 					r.advance() // ancient and absent: lost
 					continue
 				default:
-					if len(r.queues[tgt%len(r.queues)]) == 0 {
+					if r.queues[tgt%len(r.queues)].len() == 0 {
 						return // in flight on its branch
 					}
 					r.advance() // its branch moved past it: lost
@@ -438,7 +440,7 @@ func (r *Reassembler) pumpTagged() {
 			r.advance() // every head is ahead: the micro-flow is complete
 			continue
 		}
-		head := r.queues[cur][0]
+		head := r.queues[cur].front()
 		if head.Seq != r.expectedSeq {
 			if !r.AllowGaps {
 				r.violation("reassembler: head %v but expected seq %d", head, r.expectedSeq)
@@ -447,7 +449,7 @@ func (r *Reassembler) pumpTagged() {
 				r.expectedSeq = head.Seq
 			}
 		}
-		r.queues[cur] = r.queues[cur][1:]
+		r.queues[cur].pop()
 		r.buffered--
 		r.expectedSeq = head.EndSeq()
 		r.DeliveredSegments += uint64(head.Segs)
@@ -475,21 +477,11 @@ func (r *Reassembler) advance() {
 func (r *Reassembler) Flush() int {
 	n := 0
 	for r.buffered > 0 {
-		// Find the queue whose head has the lowest sequence.
-		best := -1
-		for i, q := range r.queues {
-			if len(q) == 0 {
-				continue
-			}
-			if best == -1 || q[0].Seq < r.queues[best][0].Seq {
-				best = i
-			}
-		}
+		best := r.lowestQueue()
 		if best == -1 {
 			break
 		}
-		head := r.queues[best][0]
-		r.queues[best] = r.queues[best][1:]
+		head := r.queues[best].pop()
 		r.buffered--
 		r.expectedSeq = head.EndSeq()
 		r.DeliveredSegments += uint64(head.Segs)
@@ -497,4 +489,39 @@ func (r *Reassembler) Flush() int {
 		n++
 	}
 	return n
+}
+
+// skbFIFO is one buffer queue: a slice consumed from a head index. Popping
+// leaves the backing array in place, and a push that finds it full with at
+// least half of it already consumed slides the live items to the front
+// instead of growing it, so a queue whose depth has peaked allocates
+// nothing more.
+type skbFIFO struct {
+	buf  []*skb.SKB
+	head int
+}
+
+func (q *skbFIFO) len() int { return len(q.buf) - q.head }
+
+// front returns the oldest item; the queue must not be empty.
+func (q *skbFIFO) front() *skb.SKB { return q.buf[q.head] }
+
+// pop removes and returns the oldest item; the queue must not be empty.
+func (q *skbFIFO) pop() *skb.SKB {
+	s := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return s
+}
+
+func (q *skbFIFO) push(s *skb.SKB) {
+	if len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, s)
 }

@@ -13,7 +13,7 @@ import (
 
 // fabState is the cross-host machinery of a fabric run: the underlay wire
 // model, the per-host VTEP FDBs, and the flow placement maps. All hosts
-// share one scheduler, one SKB pool and one PktID sequence, so the run is
+// share one scheduler, one run arena and one PktID sequence, so the run is
 // a single deterministic event timeline.
 type fabState struct {
 	cfg   fabric.Config
@@ -166,17 +166,17 @@ func (fs *fabState) syncObs(sc Scenario) {
 
 // runFabric executes a multi-host scenario.
 func runFabric(sc Scenario, pr Probes) *Result {
-	pool := recycled.get()
-	defer recycled.put(pool)
-	fs := buildFabric(sc, pr, pool)
+	arena := recycled.get()
+	defer recycled.put(arena)
+	fs := buildFabric(sc, pr, arena)
 	return runHosts(sc, fs.sched, fs.hosts, fs)
 }
 
 // buildFabric assembles a multi-host scenario: N host shells on one shared
-// clock and one SKB pool (nil: unpooled), flows placed across them by the
-// fabric config, the TX side of each flow wired through the VTEP/underlay
-// chain into the RX host's NIC.
-func buildFabric(sc Scenario, pr Probes, pool *skb.Pool) *fabState {
+// clock and one run arena (nil: unrecycled), flows placed across them by
+// the fabric config, the TX side of each flow wired through the
+// VTEP/underlay chain into the RX host's NIC.
+func buildFabric(sc Scenario, pr Probes, arena *runArena) *fabState {
 	fcfg := sc.Fabric.WithDefaults()
 	n := fcfg.Hosts
 	sched := sim.NewScheduler(sc.Seed)
@@ -191,6 +191,7 @@ func buildFabric(sc Scenario, pr Probes, pool *skb.Pool) *fabState {
 		rxEdge: make(map[uint64]traffic.Ingress),
 	}
 	fs.un.DeliverTo = fs.deliver
+	pool := arena.skbPool()
 	fs.un.Drop = func(s *skb.SKB) { pool.Put(s) }
 
 	// Pre-compute per-host receive counts so each shell sizes its NIC
@@ -208,7 +209,7 @@ func buildFabric(sc Scenario, pr Probes, pool *skb.Pool) *fabState {
 		}
 		h := newHostShell(hsc, pr, hostOpts{
 			sched:  sched,
-			pool:   pool,
+			arena:  arena,
 			pktSeq: &pktSeq,
 			obsPfx: fmt.Sprintf("h%d:", i),
 		})

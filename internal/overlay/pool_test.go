@@ -10,9 +10,10 @@ import (
 	"mflow/internal/steering"
 )
 
-// withPoolDisabled runs f with SKB pooling switched off process-wide,
-// restoring the previous state afterwards. Package tests run sequentially,
-// so flipping the package variable is safe.
+// withPoolDisabled runs f with run recycling (skb pool, tx event pool,
+// lent queue buffers) switched off process-wide, restoring the previous
+// state afterwards. Package tests run sequentially, so flipping the package
+// variable is safe.
 func withPoolDisabled(f func()) {
 	prev := disablePool
 	disablePool = true
@@ -77,9 +78,10 @@ func TestPoolingDoesNotChangeFaultResults(t *testing.T) {
 }
 
 // dirtyRecycledPools runs a wire-mode TCP run under the "random" chaos plan
-// (stale bytes, frag chains still held by in-flight skbs, duplicate clones)
-// and a 2-host wire fabric run, so the pools the run cache hands out next
-// have served runs that left them as messy as a run can.
+// (stale bytes, frag chains still held by in-flight skbs, duplicate clones,
+// tx events and queued skbs still in flight at the horizon) and a 2-host
+// wire fabric run, so the arena the run cache hands out next has served
+// runs that left it as messy as a run can.
 func dirtyRecycledPools() {
 	chaos := wireQuick(steering.MFlow, skb.TCP)
 	chaos.Faults = fault.ChaosProfiles()["random"]
@@ -90,20 +92,30 @@ func dirtyRecycledPools() {
 	Run(fab)
 }
 
-// idlePool returns the pool the run cache hands out next.
-func idlePool(t *testing.T) *skb.Pool {
+// idleArena returns the arena the run cache hands out next.
+func idleArena(t *testing.T) *runArena {
 	t.Helper()
 	recycled.mu.Lock()
 	defer recycled.mu.Unlock()
-	if len(recycled.pools) == 0 {
-		t.Fatal("run cache holds no idle pool")
+	if len(recycled.idle) == 0 {
+		t.Fatal("run cache holds no idle arena")
 	}
-	return recycled.pools[len(recycled.pools)-1]
+	return recycled.idle[len(recycled.idle)-1]
+}
+
+// checkServed fails unless every part of a has served a TCP run: the skb
+// pool and the tx event pool allocated, and queue buffers came back.
+func checkServed(t *testing.T, name string, a *runArena) {
+	t.Helper()
+	if a.pool.Allocs == 0 || a.evts.Allocs == 0 || a.bufs.Idle() == 0 {
+		t.Fatalf("%s: the idle arena never served a run (skb allocs %d, event allocs %d, idle buffers %d)",
+			name, a.pool.Allocs, a.evts.Allocs, a.bufs.Idle())
+	}
 }
 
 // TestRecycledPoolsDoNotChangeResults is the cross-run recycling oracle:
-// every run of a matrix drawn from dirtied, recycled pools must
-// fingerprint-equal the same scenario run with pooling disabled, serially
+// every run of a matrix drawn from a dirtied, recycled arena must
+// fingerprint-equal the same scenario run with recycling disabled, serially
 // and twice over under the parallel harness.
 func TestRecycledPoolsDoNotChangeResults(t *testing.T) {
 	type cell struct {
@@ -129,22 +141,23 @@ func TestRecycledPoolsDoNotChangeResults(t *testing.T) {
 	dirtyRecycledPools()
 	serial := make([]string, len(cells))
 	for i, c := range cells {
-		p := idlePool(t)
-		if p.Allocs == 0 {
-			t.Fatalf("%s: the idle pool never served a run", c.name)
-		}
-		puts := p.Puts
+		a := idleArena(t)
+		checkServed(t, c.name, a)
+		puts := a.pool.Puts
 		serial[i] = Run(c.mk()).Fingerprint()
-		if p.Puts == puts {
-			t.Errorf("%s: the run did not draw the recycled pool", c.name)
+		if a.pool.Puts == puts {
+			t.Errorf("%s: the run did not draw the recycled arena", c.name)
 		}
-		if idlePool(t) != p {
-			t.Errorf("%s: the run did not return its pool to the cache", c.name)
+		if idleArena(t) != a {
+			t.Errorf("%s: the run did not return its arena to the cache", c.name)
+		}
+		if a.bufs.Idle() == 0 {
+			t.Errorf("%s: the run gave no queue buffer back", c.name)
 		}
 		var unpooled string
 		withPoolDisabled(func() { unpooled = Run(c.mk()).Fingerprint() })
 		if serial[i] != unpooled {
-			t.Errorf("%s: run on a recycled pool diverged from unpooled:\n--- recycled ---\n%s\n--- unpooled ---\n%s",
+			t.Errorf("%s: run on a recycled arena diverged from unrecycled:\n--- recycled ---\n%s\n--- unrecycled ---\n%s",
 				c.name, serial[i], unpooled)
 		}
 	}
@@ -166,7 +179,7 @@ func TestRecycledPoolsDoNotChangeResults(t *testing.T) {
 func TestPoolRecyclesDuringRun(t *testing.T) {
 	for _, proto := range []skb.Proto{skb.TCP, skb.UDP} {
 		sc := determinismScenario(steering.MFlow, proto).withDefaults()
-		h := buildHost(sc, Probes{}, newPool())
+		h := buildHost(sc, Probes{}, newArena())
 		h.run()
 		if h.pool == nil {
 			t.Fatalf("%s: host built without a pool", proto)

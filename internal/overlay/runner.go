@@ -23,9 +23,9 @@ func RunProbed(sc Scenario, pr Probes) *Result {
 	if sc.Fabric.Enabled() {
 		return runFabric(sc, pr)
 	}
-	pool := recycled.get()
-	defer recycled.put(pool)
-	return buildHost(sc, pr, pool).run()
+	arena := recycled.get()
+	defer recycled.put(arena)
+	return buildHost(sc, pr, arena).run()
 }
 
 // snapshot captures the counters that measurement windows are diffed over.

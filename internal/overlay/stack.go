@@ -21,13 +21,18 @@ type Stack struct {
 }
 
 // NewStack builds the receive topology of sc (Flows connections) with no
-// senders attached. A Stack has no end of life at which its pool could be
-// recycled, so it always gets a fresh pool and never drains the cache
-// that runs share.
+// senders attached. A Stack has no end of life at which an arena could be
+// Reset, so it never draws from the cache that runs share: it gets a fresh
+// skb pool and nothing else to recycle (no senders use tx events, and no
+// queue buffers are lent).
 func NewStack(sc Scenario) *Stack {
 	sc.NoTraffic = true
 	sc = sc.withDefaults()
-	st := &Stack{sc: sc, h: buildHost(sc, Probes{}, newPool())}
+	arena := newArena()
+	if arena != nil {
+		arena.evts, arena.bufs = nil, nil
+	}
+	st := &Stack{sc: sc, h: buildHost(sc, Probes{}, arena)}
 	st.seqs = make([]traffic.SeqAlloc, sc.Flows)
 	st.msgs = make([]uint64, sc.Flows)
 	return st

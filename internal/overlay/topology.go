@@ -25,57 +25,94 @@ import (
 
 const sameCoreWake = 200 // softirq re-raise latency on the same core
 
-// disablePool turns SKB pooling off process-wide. Tests flip it to prove
-// pooled and unpooled runs fingerprint identically; the MFLOW_NOPOOL
-// environment variable does the same for command-line A/B comparisons. It is
+// disablePool turns run recycling off process-wide: no skb pool, no event
+// pool, no lent queue buffers. Tests flip it to prove recycled and
+// unrecycled runs fingerprint identically; the MFLOW_NOPOOL environment
+// variable does the same for command-line A/B comparisons. It is
 // deliberately not a Scenario field: scenario keys (and therefore run
 // fingerprints) must not depend on an engine-internal toggle.
 var disablePool = os.Getenv("MFLOW_NOPOOL") != ""
 
-// newPool returns a fresh SKB pool, or nil when pooling is disabled.
-func newPool() *skb.Pool {
+// runArena holds everything a run grows that the next run can reuse: the
+// skb pool, the TCP senders' event carriers, and the backing buffers of
+// every skb worker queue (stages, NIC drivers, socket copy threads). A run
+// takes one arena at its start; once the run is over, Reset returns all of
+// it as one unit, so the next run starts with its predecessor's working
+// set instead of regrowing it from empty.
+//
+// A nil *runArena is the unrecycled mode: every part is nil, and each
+// part's nil receiver falls back to plain allocation.
+type runArena struct {
+	pool *skb.Pool
+	evts *traffic.EvtPool
+	bufs *sim.QueueBufs[*skb.SKB]
+}
+
+// newArena returns an empty arena, or nil when recycling is disabled.
+// It is the one place that decides whether a run recycles.
+func newArena() *runArena {
 	if disablePool {
 		return nil
 	}
-	return &skb.Pool{}
+	return &runArena{pool: &skb.Pool{}, evts: &traffic.EvtPool{}, bufs: &sim.QueueBufs[*skb.SKB]{}}
 }
 
-// recycled hands each finished run's SKB pool to the next run, so a run
-// starts with the working set its predecessor grew instead of regrowing
-// it from empty. It is an explicit LIFO rather than a sync.Pool: it holds
-// at most one pool per run that was ever in flight at once, and the
-// garbage collector never drops a warm pool for a cold one.
-var recycled poolCache
-
-// poolCache is a mutex-guarded stack of idle, Reset pools.
-type poolCache struct {
-	mu    sync.Mutex
-	pools []*skb.Pool
-}
-
-// get returns an idle pool, a fresh one when none is idle, or nil when
-// pooling is disabled (which disables recycling too).
-func (c *poolCache) get() *skb.Pool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := len(c.pools); n > 0 && !disablePool {
-		p := c.pools[n-1]
-		c.pools[n-1] = nil
-		c.pools = c.pools[:n-1]
-		return p
+// skbPool returns the arena's skb pool (nil: unpooled).
+func (a *runArena) skbPool() *skb.Pool {
+	if a == nil {
+		return nil
 	}
-	return newPool()
+	return a.pool
 }
 
-// put resets the pool of a run that is over and makes it idle. The caller
-// must hold no reference to the run's SKBs (see skb.Pool.Reset).
-func (c *poolCache) put(p *skb.Pool) {
-	if p == nil {
+// Reset returns everything the arena handed out to it — skbs and event
+// carriers in flight or not, and every lent queue buffer. Reset is valid
+// only once the run that used the arena is over: the dead run's scheduler
+// and workers may still reference what Reset reclaims, so they must never
+// run again.
+func (a *runArena) Reset() {
+	if a == nil {
 		return
 	}
-	p.Reset()
+	a.pool.Reset()
+	a.evts.Reset()
+	a.bufs.Reset()
+}
+
+// recycled hands each finished run's arena to the next run. It is an
+// explicit LIFO rather than a sync.Pool: it holds at most one arena per
+// run that was ever in flight at once, and the garbage collector never
+// drops a warm arena for a cold one.
+var recycled arenaCache
+
+// arenaCache is a mutex-guarded stack of idle, Reset arenas.
+type arenaCache struct {
+	mu   sync.Mutex
+	idle []*runArena
+}
+
+// get returns an idle arena, a fresh one when none is idle, or nil when
+// recycling is disabled.
+func (c *arenaCache) get() *runArena {
 	c.mu.Lock()
-	c.pools = append(c.pools, p)
+	defer c.mu.Unlock()
+	if n := len(c.idle); n > 0 && !disablePool {
+		a := c.idle[n-1]
+		c.idle[n-1] = nil
+		c.idle = c.idle[:n-1]
+		return a
+	}
+	return newArena()
+}
+
+// put resets the arena of a run that is over and makes it idle.
+func (c *arenaCache) put(a *runArena) {
+	if a == nil {
+		return
+	}
+	a.Reset()
+	c.mu.Lock()
+	c.idle = append(c.idle, a)
 	c.mu.Unlock()
 }
 
@@ -97,9 +134,11 @@ type host struct {
 	inj     *fault.Injector // nil unless sc.Faults is enabled
 	ov      *ovState        // nil unless sc.Overload is enabled
 
-	// pool recycles the run's SKBs (nil when pooling is disabled). A
-	// pool serves one run at a time; fabric hosts share their run's pool.
-	pool *skb.Pool
+	// arena recycles the run's skbs, tx events and queue buffers (nil
+	// when recycling is disabled); pool is its skb pool. An arena serves
+	// one run at a time; fabric hosts share their run's arena.
+	arena *runArena
+	pool  *skb.Pool
 	// tracer / prof / flight are the run's probes (all nil for unprobed
 	// runs; see Probes). They observe the pipeline through stage probes and
 	// plain func hooks and never alter its behaviour.
@@ -323,21 +362,21 @@ func (h *host) newStageT(name string, coreC *sim.Core, cap int, wake sim.Duratio
 	return st
 }
 
-// hostOpts carries the run's SKB pool and fabric-mode construction
+// hostOpts carries the run's arena and fabric-mode construction
 // overrides; otherwise the zero value is the single-host default (private
 // clock, private PktID sequence, unprefixed registry names).
 type hostOpts struct {
 	sched  *sim.Scheduler // non-nil: share an existing DES clock
-	pool   *skb.Pool      // the run's SKB pool (nil: pooling disabled)
+	arena  *runArena      // the run's arena (nil: recycling disabled)
 	pktSeq *uint64        // non-nil: share one PktID sequence across NICs
 	obsPfx string
 }
 
 // buildHost constructs the complete topology for a scenario on the given
-// SKB pool (nil: unpooled), attaching any probes after the topology is
+// arena (nil: unrecycled), attaching any probes after the topology is
 // fully wired.
-func buildHost(sc Scenario, pr Probes, pool *skb.Pool) *host {
-	h := newHostShell(sc, pr, hostOpts{pool: pool})
+func buildHost(sc Scenario, pr Probes, arena *runArena) *host {
+	h := newHostShell(sc, pr, hostOpts{arena: arena})
 	for f := 0; f < sc.Flows; f++ {
 		h.buildFlow(f)
 	}
@@ -356,7 +395,7 @@ func newHostShell(sc Scenario, pr Probes, opt hostOpts) *host {
 	h := &host{sc: sc, sched: sched, obsPfx: opt.obsPfx}
 	h.tracer, h.prof, h.flight = pr.Tracer, pr.Causal, pr.Flight
 	h.nicH = nicDeliverH{h}
-	h.pool = opt.pool
+	h.arena, h.pool = opt.arena, opt.arena.skbPool()
 	if sc.Faults.Enabled() {
 		h.inj = fault.NewInjector(*sc.Faults, sc.Seed)
 	}
@@ -424,6 +463,19 @@ func (h *host) finish() {
 			}
 			if fp.split != nil {
 				fp.split.Recycle = put
+			}
+		}
+	}
+
+	// Lend every skb worker queue the arena's idle buffers: each stage
+	// (NIC driver workers included) and each socket copy thread.
+	if h.arena != nil && h.arena.bufs != nil {
+		for _, st := range h.stages {
+			h.arena.bufs.Lend(st.worker)
+		}
+		for _, fp := range h.flows {
+			for _, w := range fp.sock.Workers() {
+				h.arena.bufs.Lend(w)
 			}
 		}
 	}
@@ -594,6 +646,9 @@ func (h *host) buildFlowTx(f int, fp *flowPath, ingress traffic.Ingress) {
 			NetDelay: cfg.NetDelay,
 			Cost:     clientCostTCP,
 			Pool:     h.pool,
+		}
+		if h.arena != nil {
+			tx.Evts = h.arena.evts
 		}
 		// Overload control drops packets too (admission budget, AQM,
 		// pressure gates), so it needs the reliable sender for the same

@@ -41,7 +41,7 @@ func TestWireModeEndToEndIntegrity(t *testing.T) {
 
 func TestWireModeDecapsulatesBytes(t *testing.T) {
 	sc := wireQuick(steering.MFlow, skb.TCP).withDefaults()
-	h := buildHost(sc, Probes{}, newPool())
+	h := buildHost(sc, Probes{}, newArena())
 	h.run()
 	fp := h.flows[0]
 	if fp.vx == nil || fp.vx.Decapped == 0 {
@@ -149,8 +149,9 @@ func checkPattern(s *skb.SKB, frames *int) error {
 // their count: after GRO frag chaining, MFLOW splitting and reassembly,
 // VxLAN decap and (on the fabric) a VTEP push and an underlay crossing,
 // every byte a TCP socket receives must be the pattern its sender wrote.
-// The recycled cases run on a pool that dirtied runs handed back: no byte
-// a previous run left in a recycled arena may reach a socket.
+// The recycled cases run on a run arena that dirtied runs handed back: no
+// byte a previous run left in a recycled skb arena or queue buffer may reach
+// a socket.
 func TestWireModePayloadContent(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -167,14 +168,12 @@ func TestWireModePayloadContent(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := wireQuick(tc.sys, skb.TCP)
-			pool := newPool()
+			arena := newArena()
 			if tc.recycled {
 				dirtyRecycledPools()
-				pool = recycled.get()
-				defer recycled.put(pool)
-				if pool.Allocs == 0 {
-					t.Fatal("the recycled pool never served a run")
-				}
+				arena = recycled.get()
+				defer recycled.put(arena)
+				checkServed(t, tc.name, arena)
 			}
 			var hosts []*host
 			var run func() *Result
@@ -182,11 +181,11 @@ func TestWireModePayloadContent(t *testing.T) {
 				sc.Flows = 2
 				sc.Fabric = &fabric.Config{Hosts: tc.hosts}
 				sc = sc.withDefaults()
-				fs := buildFabric(sc, Probes{}, pool)
+				fs := buildFabric(sc, Probes{}, arena)
 				hosts = fs.hosts
 				run = func() *Result { return runHosts(sc, fs.sched, fs.hosts, fs) }
 			} else {
-				h := buildHost(sc.withDefaults(), Probes{}, pool)
+				h := buildHost(sc.withDefaults(), Probes{}, arena)
 				hosts = []*host{h}
 				run = h.run
 			}

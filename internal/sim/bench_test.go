@@ -65,6 +65,26 @@ func BenchmarkCoreTags(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreTagSwitch charges ten tags round-robin, so every Exec misses
+// the last-tag memo and looks its tag up: the cost a core pays when
+// several stages share it. Pinned at 0 allocs/op.
+func BenchmarkCoreTagSwitch(b *testing.B) {
+	s := NewScheduler(1)
+	c := NewCore(0, s)
+	tags := []string{
+		"rx-softirq", "gro", "vxlan", "bridge", "veth",
+		"iptables", "tcp-ofo", "socket", "udp-send", "reasm",
+	}
+	for _, tag := range tags {
+		c.Exec(10, tag)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Exec(10, tags[i%len(tags)])
+	}
+}
+
 func BenchmarkSchedulerEvent(b *testing.B) {
 	s := NewScheduler(1)
 	var fn func()

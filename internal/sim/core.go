@@ -42,15 +42,16 @@ type Core struct {
 	// itself before invoking its continuation, so a handful cover any
 	// outstanding depth and steady-state Run calls schedule closure-free.
 	runFree []*coreRunEvt
-	// Tag accounting: tagIdx maps a tag to its slot in tagVals (stable,
-	// insertion-ordered), and the (lastTag, lastIdx) memo skips even the
-	// map lookup when consecutive Execs charge the same tag — batch loops
-	// always do, and the constant tag strings make the equality check a
-	// pointer compare.
-	tagIdx  map[string]int
-	tagVals []Duration
-	lastTag string
-	lastIdx int
+	// Tag accounting: tagNames[i] is charged tagVals[i] (insertion
+	// order). A core sees about a dozen tags at most, so a linear scan
+	// finds a tag faster than hashing it would, and the (lastTag, lastIdx)
+	// memo skips even the scan when consecutive Execs charge the same tag
+	// — batch loops always do, and the constant tag strings make the
+	// equality check a pointer compare.
+	tagNames []string
+	tagVals  []Duration
+	lastTag  string
+	lastIdx  int
 	// tagsSorted mirrors the tag set in sorted order, maintained
 	// incrementally on first sight of each tag. The working set of tags is
 	// tiny (a handful of stage names) and almost every Exec hits an
@@ -66,7 +67,6 @@ func NewCore(id int, sched *Scheduler) *Core {
 		ID:      id,
 		Speed:   1.0,
 		sched:   sched,
-		tagIdx:  make(map[string]int),
 		lastIdx: -1,
 	}
 }
@@ -117,14 +117,7 @@ func (c *Core) Exec(d Duration, tag string) (start, end Time) {
 	end = start.Add(adj)
 	c.busyUntil = end
 	if tag != c.lastTag || c.lastIdx < 0 {
-		idx, seen := c.tagIdx[tag]
-		if !seen {
-			idx = len(c.tagVals)
-			c.tagVals = append(c.tagVals, 0)
-			c.tagIdx[tag] = idx
-			c.insertTag(tag)
-		}
-		c.lastTag, c.lastIdx = tag, idx
+		c.lastTag, c.lastIdx = tag, c.tagIndex(tag)
 	}
 	c.tagVals[c.lastIdx] += adj
 	c.busyTotal += adj
@@ -132,6 +125,19 @@ func (c *Core) Exec(d Duration, tag string) (start, end Time) {
 		c.ExecLog(c.ID, tag, start, end)
 	}
 	return start, end
+}
+
+// tagIndex returns tag's slot in tagVals, adding the tag on first sight.
+func (c *Core) tagIndex(tag string) int {
+	for i, name := range c.tagNames {
+		if name == tag {
+			return i
+		}
+	}
+	c.tagNames = append(c.tagNames, tag)
+	c.tagVals = append(c.tagVals, 0)
+	c.insertTag(tag)
+	return len(c.tagVals) - 1
 }
 
 // coreRunEvt carries one Run continuation through the scheduler's
@@ -174,9 +180,9 @@ func (c *Core) BusyTotal() Duration { return c.busyTotal }
 
 // BusyByTag returns a copy of the per-tag busy-time accounting.
 func (c *Core) BusyByTag() map[string]Duration {
-	out := make(map[string]Duration, len(c.tagIdx))
-	for k, idx := range c.tagIdx {
-		out[k] = c.tagVals[idx]
+	out := make(map[string]Duration, len(c.tagNames))
+	for i, name := range c.tagNames {
+		out[name] = c.tagVals[i]
 	}
 	return out
 }
@@ -217,9 +223,8 @@ func (c *Core) Utilization(busyAtSince Duration, since, until Time) float64 {
 // measurement phases of an experiment).
 func (c *Core) ResetAccounting() {
 	c.busyTotal = 0
-	for k := range c.tagIdx {
-		delete(c.tagIdx, k)
-	}
+	clear(c.tagNames)
+	c.tagNames = c.tagNames[:0]
 	c.tagVals = c.tagVals[:0]
 	c.lastTag, c.lastIdx = "", -1
 	c.tagsSorted = c.tagsSorted[:0]

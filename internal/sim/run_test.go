@@ -354,7 +354,7 @@ func TestWorkerStealQueueRecyclesBuffer(t *testing.T) {
 			t.Fatalf("StealQueue allocates %.1f/op, want 0", avg)
 		}
 	}
-	// The worker ping-pongs onto the recycled buffer and still delivers.
+	// The worker refills the buffer it handed out and still delivers.
 	w.Enqueue(40)
 	w.Enqueue(41)
 	s.Run()

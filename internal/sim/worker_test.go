@@ -246,3 +246,90 @@ func TestWorkerDeliveryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWorkerEnqueueDuringBatch re-enqueues onto a worker from inside its
+// own ProcessBatch, which a poll round's batch must survive: the batch is
+// a window of the worker's queue buffer, so an enqueue may neither
+// overwrite it nor reorder the queue. Every item must be processed once,
+// in enqueue order, and a worker whose backlog never drains must settle
+// into a buffer it no longer grows.
+func TestWorkerEnqueueDuringBatch(t *testing.T) {
+	s := NewScheduler(1)
+	c := NewCore(1, s)
+	w := &Worker[int]{Name: "b", Core: c, Sched: s, Budget: 8}
+	next, want, limit := 0, 0, 5000
+	w.ProcessBatch = func(batch []int) {
+		for _, v := range batch {
+			if v != want {
+				t.Fatalf("processed %d, want %d", v, want)
+			}
+			want++
+			// Two enqueues per item keep the backlog growing until the
+			// limit, so the buffer is full, compacted and regrown while
+			// batches are live.
+			for k := 0; k < 2 && next < limit; k++ {
+				w.Enqueue(next)
+				next++
+			}
+			if batch[0] != want-1-(v-batch[0]) {
+				t.Fatalf("batch overwritten while processed")
+			}
+		}
+		c.Exec(Duration(len(batch)), "b")
+	}
+	for next < 3 {
+		w.Enqueue(next)
+		next++
+	}
+	s.Run()
+	if want != limit {
+		t.Fatalf("processed %d items, want %d", want, limit)
+	}
+	if w.Len() != 0 || len(w.queue) != 0 || w.head != 0 {
+		t.Fatalf("drained worker holds len %d, queue %d, head %d", w.Len(), len(w.queue), w.head)
+	}
+	if cap(w.queue) > 4*w.MaxDepth {
+		t.Fatalf("buffer capacity %d for a peak depth of %d", cap(w.queue), w.MaxDepth)
+	}
+}
+
+// TestWorkerSteadyBacklogDoesNotAllocate keeps a worker's backlog deeper
+// than its budget across poll rounds: once its buffer has grown, neither
+// enqueues nor polls may allocate.
+func TestWorkerSteadyBacklogDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := NewScheduler(1)
+	c := NewCore(1, s)
+	// Processing charges no time, so the worker re-arms one tick after
+	// each round and every RunUntil below runs exactly one round.
+	w := &Worker[int]{Name: "b", Core: c, Sched: s, Budget: 16}
+	w.ProcessBatch = func([]int) {}
+	round := func() {
+		for i := 0; i < 16; i++ {
+			w.Enqueue(i)
+		}
+		s.RunUntil(s.Now() + 1)
+	}
+	for i := 0; i < 100; i++ {
+		w.Enqueue(i) // a standing backlog of 100 behind every round
+	}
+	s.RunUntil(0)
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	depth := w.Len()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("a steady-state round allocates %.1f times", avg)
+	}
+	if w.Len() != depth || depth < 16 {
+		t.Fatalf("backlog %d after the rounds, %d before", w.Len(), depth)
+	}
+	for i := 0; i < 1000; i++ {
+		round()
+	}
+	if cap(w.queue) > 4*w.MaxDepth {
+		t.Fatalf("buffer capacity %d for a peak depth of %d", cap(w.queue), w.MaxDepth)
+	}
+}

@@ -37,10 +37,11 @@ func BenchmarkTCPSenderPump(b *testing.B) {
 		NetDelay: 5 * sim.Microsecond,
 		Cost:     ClientCost{PerMsg: 300, PerSeg: 100},
 		Pool:     pool,
+		Evts:     &EvtPool{},
 	}
 	tx.Net = &ackSink{tx: tx, pool: pool, s: s}
 	tx.Start()
-	for i := 0; i < 4096; i++ { // reach steady state: pool and freelist warm
+	for i := 0; i < 4096; i++ { // reach steady state: both pools warm
 		s.Run()
 	}
 	b.ReportAllocs()

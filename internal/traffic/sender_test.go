@@ -217,3 +217,44 @@ func TestThreeUDPClientsShareSequenceSpace(t *testing.T) {
 		t.Errorf("only %d segments from 3 clients", len(seen))
 	}
 }
+
+// TestEvtPoolResetReclaimsInFlight stops two reliable senders sharing one
+// EvtPool mid-run, with completions still chained on their done lanes and
+// retransmission timers pending, and requires Reset to return every event
+// the pool ever issued to its free stack, zeroed, so the next run can
+// drain it without allocating.
+func TestEvtPoolResetReclaimsInFlight(t *testing.T) {
+	s := sim.NewScheduler(1)
+	evts := &EvtPool{}
+	for f := uint64(1); f <= 2; f++ {
+		snk := &sink{sched: s, limit: 20}
+		tx := &TCPSender{
+			FlowID: f, MsgSize: 4000, Window: 64,
+			Core: sim.NewCore(int(f), s), Sched: s, Net: snk,
+			NetDelay: 5 * sim.Microsecond,
+			Cost:     ClientCost{PerSeg: 100},
+			Reliable: true, InitialRTO: sim.Millisecond,
+			Evts: evts,
+		}
+		snk.acker = tx.Ack
+		s.At(0, tx.Start)
+	}
+	s.RunUntil(sim.Time(3 * sim.Microsecond))
+	if s.Pending() == 0 || evts.Free() == int(evts.Allocs) {
+		t.Fatalf("nothing in flight at the horizon (%d pending, %d of %d events free)",
+			s.Pending(), evts.Free(), evts.Allocs)
+	}
+	evts.Reset()
+	if evts.Free() != int(evts.Allocs) {
+		t.Fatalf("Reset freed %d of %d events", evts.Free(), evts.Allocs)
+	}
+	allocs := evts.Allocs
+	for n := evts.Free(); n > 0; n-- {
+		if e := evts.Get(); *e != (txEvt{}) {
+			t.Fatalf("Get after Reset returned %+v", *e)
+		}
+	}
+	if evts.Allocs != allocs {
+		t.Fatalf("draining the reset pool allocated %d events", evts.Allocs-allocs)
+	}
+}

@@ -68,6 +68,9 @@ type TCPSender struct {
 
 	// Pool, when set, supplies the sender's SKBs (nil = plain allocation).
 	Pool *skb.Pool
+	// Evts, when set, supplies the sender's event carriers (nil = plain
+	// allocation). One EvtPool serves every sender of a run.
+	Evts *EvtPool
 
 	// OnRTO, if set, observes each retransmission-timer expiry that
 	// resent data (the anomaly flight-recorder trigger). Observation
@@ -113,11 +116,15 @@ type TCPSender struct {
 	retxDoneH tcpRetxDoneH
 	netH      tcpNetH
 	rtoH      tcpRTOH
-	evtFree   *txEvt // freelist, threaded through runNext
 }
 
+// EvtPool recycles the TCP senders' event carriers. It is a run-wide slab:
+// Reset reclaims every carrier the run's senders still hold in flight, so a
+// finished run can hand it to the next one.
+type EvtPool = sim.Slab[txEvt]
+
 // txEvt carries per-event state for the sender's scheduler events; instances
-// are recycled on a sender-local freelist.
+// come from the run's EvtPool and return to it when their event fires.
 type txEvt struct {
 	s   *skb.SKB
 	rec *segRec
@@ -125,8 +132,7 @@ type txEvt struct {
 
 	// runNext / runAt / runSeq link a completion to its successor on the
 	// sender's done lane (sim.LaneLink); consumed and cleared at fire time.
-	// Before that, pump's burst chain borrows runNext and runAt, and on the
-	// freelist runNext links free events.
+	// Before that, pump's burst chain borrows runNext and runAt.
 	runNext *txEvt
 	runAt   sim.Time
 	runSeq  uint64
@@ -149,20 +155,6 @@ func (e *txEvt) SetNextLane(next sim.LaneLink, at sim.Time, seq uint64) {
 	e.runNext, e.runAt, e.runSeq = next.(*txEvt), at, seq
 }
 
-func (t *TCPSender) getEvt() *txEvt {
-	if e := t.evtFree; e != nil {
-		t.evtFree = e.runNext
-		e.runNext = nil
-		return e
-	}
-	return &txEvt{}
-}
-
-func (t *TCPSender) putEvt(e *txEvt) {
-	*e = txEvt{runNext: t.evtFree}
-	t.evtFree = e
-}
-
 // tcpDoneH fires at a first transmission's client-core completion: it stamps
 // the send time (Karn's RTT baseline) and puts the segment on the wire. The
 // record pointer is carried, not looked up, so an acknowledgement that
@@ -179,7 +171,7 @@ func (h tcpDoneH) Handle(arg any, now sim.Time) {
 	}
 	e.s.SentAt = now
 	t.Sched.AtHandler(now.Add(t.NetDelay), t.netH, e.s)
-	t.putEvt(e)
+	t.Evts.Put(e)
 }
 
 // tcpRetxDoneH fires at a retransmission's completion. The SKB is built here
@@ -193,7 +185,7 @@ func (h tcpRetxDoneH) Handle(arg any, now sim.Time) {
 	t := h.t
 	e := arg.(*txEvt)
 	rec, seq := e.rec, e.n
-	t.putEvt(e)
+	t.Evts.Put(e)
 	s := t.Pool.Get()
 	s.FlowID = t.FlowID
 	s.Proto = skb.TCP
@@ -226,7 +218,7 @@ type tcpRTOH struct{ t *TCPSender }
 func (h tcpRTOH) Handle(arg any, _ sim.Time) {
 	e := arg.(*txEvt)
 	gen := e.n
-	h.t.putEvt(e)
+	h.t.Evts.Put(e)
 	h.t.onRTO(gen)
 }
 
@@ -441,7 +433,7 @@ func (t *TCPSender) sendSegment() (*txEvt, sim.Time) {
 	s.PayloadLen = payload
 	s.MsgID = msgID
 	s.MsgEnd = last
-	e := t.getEvt()
+	e := t.Evts.Get()
 	e.s, e.rec = s, rec
 	return e, end
 }
@@ -458,7 +450,7 @@ func (t *TCPSender) retransmit(seq uint64) {
 	t.SegsSent++
 	cost := t.Cost.PerSeg + sim.Duration(t.Cost.PerByte*float64(rec.payload))
 	_, end := t.Core.Exec(cost, "tcp-send")
-	e := t.getEvt()
+	e := t.Evts.Get()
 	e.rec, e.n = rec, seq
 	t.Sched.AtHandler(end, t.retxDoneH, e)
 	t.armRTO()
@@ -515,7 +507,7 @@ func (t *TCPSender) armRTO() {
 	}
 	t.rtoGen++
 	t.rtoArmed = true
-	e := t.getEvt()
+	e := t.Evts.Get()
 	e.n = t.rtoGen
 	t.Sched.AfterHandler(t.currentRTO(), t.rtoH, e)
 }
